@@ -10,16 +10,26 @@
 // Workloads (see BENCHMARK.json for why each exists):
 //   ssb-small-solo   closed loop, 13 SSB queries via Execute(spec), ~6k fact
 //                    rows on a 2x2-core + 2-GPU miniature server
-//   ssb-stream-solo  closed loop, 13 SSB queries via Execute(spec), ~3M fact
-//                    rows streamed over PCIe to 48 MB-capacity GPUs on the
-//                    default 2x12-core + 2-GPU server (the fig5/fig6 regime)
+//   ssb-stream-solo  closed loop, 13 SSB queries via Optimize(spec, base) +
+//                    ExecutePlan with fig5/fig6's scaled 512-row blocks, ~3M
+//                    fact rows streamed over PCIe to 48 MB-capacity GPUs on
+//                    the default 2x12-core + 2-GPU server
 //   ssb-serve-rw     open loop in virtual time: Poisson batches from a 6-query
 //                    join pool through QueryScheduler::Submit/Wait with
 //                    shared builds + result cache on, one dimension-table
 //                    write (Table::NoteMutation) between batches
 //
+// Set-up (System build, table generation and placement, one warm-up pass) is
+// timed several times per run: once for the measured instance, then on spare
+// instances built and dropped between passes, spread over the rest of the run
+// so that the reported median sees the host conditions of more than a moment.
+//
+// peak_rss_mb comes from the kernel's RSS high-water mark over each of the
+// first passes (reset through /proc/self/clear_refs, read as VmHWM), so the
+// reference answers and spare set-ups are not in it.
+//
 // With --trace 1, passes (solo) or batches (serve) alternate between untraced
-// and traced. Traced solo passes replay Execute(spec)'s public steps
+// and traced. Traced solo passes replay ExecutePlan's public steps
 // (Optimize, ValidateHetPlan + GraphBuilder::Analyze, GraphBuilder::Run) with a
 // span around each; traced serve batches span Submit and Wait. Spans stay in
 // memory and are written with the record at the end.
@@ -27,7 +37,7 @@
 // Every completed query's rows are compared with ssb::ReferenceExecute on the
 // same generated tables, with no tolerance.
 
-#include <sys/resource.h>
+#include <malloc.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -67,11 +77,11 @@ double SecondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Set-ups per run (setup_s is their median): at least kMinSetups, then more
-/// while their total stays under kSetupBudgetS, so cheap set-ups repeat often.
-constexpr int kMinSetups = 3;
-constexpr int kMaxSetups = 15;
-constexpr double kSetupBudgetS = 2.0;
+/// Set-ups per run (setup_s is their median): as many as fit in
+/// kSetupShare of --seconds, within [kMinSetups, kMaxSetups] and odd.
+constexpr int kMinSetups = 5;
+constexpr int kMaxSetups = 21;
+constexpr double kSetupShare = 0.25;
 /// ssb-serve-rw: queries per batch, offered Poisson rate (virtual qps) and the
 /// admission cap (never above the host's thread count). At 800 qps the median
 /// client latency falls in the gap between cache hits (~2 us) and misses
@@ -81,10 +91,9 @@ constexpr int kBatch = 30;
 constexpr double kOfferedQps = 1200;
 constexpr int kMaxConcurrent = 4;
 /// Passes every run completes, even past --seconds on a slow host: a solo run
-/// keeps >= 260 samples, so its modeled tail stays p95 or higher, and
-/// peak_rss_mb is read after this fixed amount of work because the heap keeps
-/// growing slowly with every pass (allocator retention across worker threads).
-constexpr int kMinSoloPasses = 20;
+/// keeps >= 208 samples, so its modeled tail stays p95 or higher. These
+/// passes also measure peak_rss_mb, so it covers a fixed amount of work.
+constexpr int kMinSoloPasses = 16;
 constexpr int kMinServeBatches = 300;
 
 // ------------------------------------------------------------- environment
@@ -270,6 +279,7 @@ struct Workload {
   bool serve = false;
   core::System::Options options;
   ssb::Ssb::Options data;
+  plan::ExecPolicy base;  ///< what solo queries leave to the optimizer
 };
 
 core::System::Options MiniatureServer() {
@@ -295,15 +305,18 @@ bool MakeWorkload(const std::string& name, uint64_t seed, Workload* w) {
     return true;
   }
   if (name == "ssb-stream-solo") {
-    // Paper SF1000 scaled 1:2000 exactly as fig5/fig6 do it: the fact table
-    // exceeds the 48 MB modeled GPU capacity, fixed latencies shrink with the
-    // data, and the dimensions keep paper-scale hash-table size classes.
+    // Paper SF1000 scaled 1:2000 as fig5/fig6 do it: the fact table exceeds
+    // the 48 MB modeled GPU capacity, fixed latencies and the block size
+    // shrink with the data, and the dimensions keep paper-scale hash-table
+    // size classes. Unlike fig5/fig6, which pin cpu/gpu/hybrid policies, the
+    // optimizer picks each plan within the scaled block size.
     const double latency_scale = 0.5 / 1000;
     w->options.topology.gpu_capacity = 48ull << 20;
     w->options.topology.cost_model.ScaleFixedLatencies(latency_scale);
     const uint64_t block_rows = std::max<uint64_t>(
         512, static_cast<uint64_t>(128.0 * 1024 * latency_scale));
     w->options.blocks.block_bytes = std::max<uint64_t>(block_rows * 8, 16 << 10);
+    w->base.block_rows = block_rows;
     w->options.blocks.host_arena_blocks = 768;
     w->options.blocks.gpu_arena_blocks = 384;
     w->data.scale = 0.5;  // 3M fact rows
@@ -417,18 +430,25 @@ class Runner {
     }
   }
 
+  /// Optimize(spec, base) + ExecutePlan: Execute(spec) with the workload's
+  /// base policy in place of the default one.
   Sample Solo(int pass, int q) {
+    const plan::QuerySpec& spec = in_->queries[static_cast<size_t>(q)];
     Sample s;
     s.pass = pass;
     s.query = q;
     const auto t0 = Clock::now();
-    const core::QueryResult r = executor_.Execute(in_->queries[static_cast<size_t>(q)]);
+    core::QueryResult r;
+    plan::OptimizeResult opt;
+    r.status = executor_.Optimize(spec, w_.base, &opt);
+    if (r.status.ok()) r = executor_.ExecutePlan(spec, opt.best().plan);
     s.host_s = SecondsSince(t0);
     Finish(r, &s);
     return s;
   }
 
-  /// Execute(spec) replayed step by step with a span around each layer call.
+  /// Solo() replayed step by step, ExecutePlan's steps included, with a span
+  /// around each layer call.
   Sample TracedSolo(int pass, int q) {
     core::System& system = *in_->system;
     const plan::QuerySpec& spec = in_->queries[static_cast<size_t>(q)];
@@ -443,7 +463,7 @@ class Runner {
 
     int span = tracer_->Begin(id, "plan", root);
     plan::OptimizeResult opt;
-    r.status = executor_.Optimize(spec, plan::ExecPolicy{}, &opt);
+    r.status = executor_.Optimize(spec, w_.base, &opt);
     tracer_->End(span);
     if (r.status.ok()) {
       const plan::HetPlan& plan = opt.best().plan;
@@ -541,10 +561,52 @@ void PrintCounters(FILE* f, const Counters& c) {
   std::fprintf(f, "}");
 }
 
+/// Resets the kernel's RSS high-water mark of this process to its current RSS.
+bool ResetPeakRss() {
+  FILE* f = std::fopen("/proc/self/clear_refs", "w");
+  if (f == nullptr) return false;
+  const bool ok = std::fputs("5", f) >= 0;
+  return std::fclose(f) == 0 && ok;
+}
+
+/// RSS high-water mark since the last ResetPeakRss (VmHWM), in MiB; negative
+/// when it cannot be read.
 double PeakRssMb() {
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
+  FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return -1;
+  char line[256];
+  double kib = -1;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %lf kB", &kib) == 1) break;
+  }
+  std::fclose(f);
+  return kib < 0 ? -1 : kib / 1024.0;
+}
+
+/// One set-up: System build, table generation and placement, and one warm-up
+/// pass. Fills `ref` from the new instance when it is empty; that is not
+/// timed. Returns the set-up seconds, or a negative value when a warm-up query
+/// fails.
+double SetUp(const Workload& w, uint64_t seed, Tracer* tracer, std::vector<Rows>* ref,
+             Instance* in) {
+  const auto t0 = Clock::now();
+  *in = Build(w);
+  const double built_s = SecondsSince(t0);
+  if (ref->empty()) {
+    for (const plan::QuerySpec& q : in->queries) {
+      ref->push_back(ssb::ReferenceExecute(q, in->system->catalog()));
+    }
+  }
+  const auto t1 = Clock::now();
+  Runner warm(w, in, tracer, *ref);  // untraced: records no spans
+  Rng warm_rng(seed ^ 0x5EEDull);
+  std::deque<Sample> warm_samples;
+  warm.RunPass(0, /*traced=*/false, &warm_rng, &warm_samples);
+  const double setup_s = built_s + SecondsSince(t1);
+  for (const Sample& s : warm_samples) {
+    if (!s.ok || !s.rows_ok) return -1;
+  }
+  return setup_s;
 }
 
 int Usage() {
@@ -577,58 +639,79 @@ int Main(int argc, char** argv) {
     return Usage();
   }
 
-  // Set-up: System build, table generation and placement, and one warm-up
-  // pass, repeated (see kMinSetups); the last instance is the one measured.
-  // Reference answers come from the first instance (same seed, same tables)
-  // and are excluded from the set-up time.
+  // The measured instance's set-up comes first. Reference answers come from
+  // it (same seed, same tables) and are not timed.
   std::vector<double> setup_s;
   std::vector<Rows> ref;
   Instance in;
   Tracer tracer(Clock::now());
-  double setup_total_s = 0;
-  for (int k = 0; k < kMaxSetups && (k < kMinSetups || setup_total_s < kSetupBudgetS);
-       ++k) {
-    // Release the previous instance before building the next.
-    in.queries.clear();
-    in.ssb.reset();
-    in.system.reset();
-    const auto t0 = Clock::now();
-    in = Build(w);
-    const double built_s = SecondsSince(t0);
-    if (ref.empty()) {
-      for (const plan::QuerySpec& q : in.queries) {
-        ref.push_back(ssb::ReferenceExecute(q, in.system->catalog()));
-      }
-    }
-    const auto t1 = Clock::now();
-    Runner warm(w, &in, &tracer, ref);  // untraced: records no spans
-    Rng warm_rng(seed ^ 0x5EEDull);
-    std::deque<Sample> warm_samples;
-    warm.RunPass(0, /*traced=*/false, &warm_rng, &warm_samples);
-    for (const Sample& s : warm_samples) {
-      if (!s.ok || !s.rows_ok) {
-        std::fprintf(stderr, "warm-up query failed\n");
-        return 1;
-      }
-    }
-    setup_s.push_back(built_s + SecondsSince(t1));
-    setup_total_s += setup_s.back();
+  setup_s.push_back(SetUp(w, seed, &tracer, &ref, &in));
+  if (setup_s[0] < 0) {
+    std::fprintf(stderr, "warm-up query failed\n");
+    return 1;
   }
+  // Spare set-ups build and warm a second instance, drop it and hand its
+  // memory back.
+  auto spare_setup = [&]() {
+    {
+      Instance spare;
+      setup_s.push_back(SetUp(w, seed, &tracer, &ref, &spare));
+    }
+    malloc_trim(0);
+  };
+  int setups = std::clamp(static_cast<int>(kSetupShare * seconds / setup_s[0]),
+                          kMinSetups, kMaxSetups);
+  if (setups % 2 == 0) --setups;
 
+  // Passes run for --seconds (spare set-ups excluded) and at least
+  // min_passes. The first min_passes passes measure peak RSS: each starts
+  // from a trimmed heap with the high-water mark reset, so its peak is the
+  // measured instance plus what the pass itself holds, not what the allocator
+  // kept from set-up and earlier passes (that grows by different amounts from
+  // run to run). A spare set-up leaves such memory behind even after a trim,
+  // so spare set-up k is due once k/setups of the run has passed, but not
+  // before those passes are done.
   Runner runner(w, &in, &tracer, ref);
   Rng rng(seed);
-  // A deque grows without reallocating: no copy spikes in the peak RSS.
   std::deque<Sample> samples;
   std::vector<Pass> passes;
   const int min_passes = w.serve ? kMinServeBatches : kMinSoloPasses;
-  double peak_rss_mb = 0;
   const auto t0 = Clock::now();
-  while (static_cast<int>(passes.size()) < min_passes || SecondsSince(t0) < seconds) {
+  double spare_s = 0;
+  auto measured = [&]() { return SecondsSince(t0) - spare_s; };
+  std::vector<double> peak_rss_mb;
+  while (static_cast<int>(passes.size()) < min_passes || measured() < seconds) {
     const int pass = static_cast<int>(passes.size());
+    const int done = static_cast<int>(setup_s.size());
+    if (pass >= min_passes && done < setups && measured() >= seconds * done / setups) {
+      const auto t1 = Clock::now();
+      spare_setup();
+      spare_s += SecondsSince(t1);
+    }
+    if (pass < min_passes) {
+      malloc_trim(0);
+      if (!ResetPeakRss()) {
+        std::perror("/proc/self/clear_refs");
+        return 1;
+      }
+    }
     passes.push_back(runner.RunPass(pass, trace == 1 && pass % 2 == 1, &rng, &samples));
-    if (pass + 1 == min_passes) peak_rss_mb = PeakRssMb();
+    if (pass < min_passes) {
+      peak_rss_mb.push_back(PeakRssMb());
+      if (peak_rss_mb.back() < 0) {
+        std::fprintf(stderr, "cannot read VmHWM from /proc/self/status\n");
+        return 1;
+      }
+    }
   }
-  const double measured_s = SecondsSince(t0);
+  const double measured_s = measured();
+  while (static_cast<int>(setup_s.size()) < setups) spare_setup();
+  for (double t : setup_s) {
+    if (t < 0) {
+      std::fprintf(stderr, "warm-up query failed\n");
+      return 1;
+    }
+  }
 
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -661,10 +744,11 @@ int Main(int argc, char** argv) {
   for (size_t i = 0; i < setup_s.size(); ++i) {
     std::fprintf(f, "%s%.9g", i ? ", " : "", setup_s[i]);
   }
-  std::fprintf(f,
-               "],\n\"measured_s\": %.9g, \"peak_rss_mb\": %.6f, "
-               "\"peak_rss_passes\": %d,\n",
-               measured_s, peak_rss_mb, min_passes);
+  std::fprintf(f, "],\n\"measured_s\": %.9g,\n\"peak_rss_mb\": [", measured_s);
+  for (size_t i = 0; i < peak_rss_mb.size(); ++i) {
+    std::fprintf(f, "%s%.6f", i ? ", " : "", peak_rss_mb[i]);
+  }
+  std::fprintf(f, "],\n");
   std::fprintf(f, "\"placed_bytes\": %" PRIu64 ",\n\"queries\": [", in.placed_bytes);
   for (size_t i = 0; i < in.queries.size(); ++i) {
     std::fprintf(f, "%s\"%s\"", i ? ", " : "", in.queries[i].name.c_str());

@@ -80,7 +80,7 @@ class RecordTest(unittest.TestCase):
     def record(self, samples):
         passes = {s.pass_ for s in samples}
         return {"workload": "ssb-small-solo", "setup_s": [0.3, 0.1, 0.2],
-                "peak_rss_mb": 10.0, "peak_rss_passes": 2, "measured_s": 1.0,
+                "peak_rss_mb": [12.0, 10.0, 16.0], "measured_s": 1.0,
                 "queries": ["Q1.1", "Q1.2"],
                 "samples": [list(s) for s in samples], "spans": [],
                 "passes": [{"traced": 0, "wall_s": 0.5, "delta": {}} for _ in passes]}
@@ -93,6 +93,7 @@ class RecordTest(unittest.TestCase):
         values, _, attempted, failures = metrics.end_to_end(self.record(samples), 20.0)
         self.assertEqual((attempted, failures), (4, 1))
         self.assertEqual(values["setup_s"], (0.2, "s"))
+        self.assertEqual(values["peak_rss_mb"], (12.0, "MiB"))
         self.assertEqual(values["correct_fraction"], (0.75, "fraction"))
         self.assertAlmostEqual(values["modeled_sweep_ms"][0], 40.0)
         self.assertAlmostEqual(values["modeled_latency_p50_ms"][0], 20.0)
