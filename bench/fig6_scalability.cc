@@ -5,10 +5,17 @@
 // Paper shapes: near-linear CPU scaling to ~16-20 cores (flight 1 scales best,
 // flight 2 worst); adding 2 GPUs is worth ~8-10 extra cores for flight 1 and
 // several extra CPU *sockets* for flights 2-4 (join-heavy, random-access-bound).
+//
+//   bench_fig6_scalability [--check] [google-benchmark flags]
+//
+// --check exits nonzero (with "CHECK FAILED:" on stderr) unless every flight's
+// CPU-only modeled time, summed over its queries, never increases as cores
+// are added. (Whether hybrid beats CPU-only at equal cores is not gated yet.)
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <vector>
 
@@ -75,9 +82,43 @@ void PrintSummary() {
               "flights 2-4\n");
 }
 
+/// The --check gate: CPU-only flight sums must not increase with cores.
+bool CpuScalingIsMonotone() {
+  bool ok = true;
+  for (int f = 1; f <= 4; ++f) {
+    double prev = 0;
+    int prev_cores = 0;
+    for (int cores : kCorePoints) {
+      const double t = flight_time[f][std::to_string(cores) + "c/0g"];
+      if (t <= 0) {
+        std::fprintf(stderr, "CHECK FAILED: flight %d has no CPU-only time at "
+                             "%d cores\n", f, cores);
+        ok = false;
+      } else if (prev > 0 && t > prev) {
+        std::fprintf(stderr, "CHECK FAILED: flight %d CPU-only time rose from "
+                             "%.6fs at %d cores to %.6fs at %d cores\n",
+                     f, prev, prev_cores, t, cores);
+        ok = false;
+      }
+      prev = t;
+      prev_cores = cores;
+    }
+  }
+  return ok;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  bool check = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--check") == 0) {
+      check = true;
+      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
+      --argc;
+      break;
+    }
+  }
   benchmark::Initialize(&argc, argv);
   SsbBenchEnv e(kScale, /*paper_sf=*/1000, kGpuCapacity,
                 {/*customer=*/600'000, /*supplier=*/150'000, /*part=*/400'000});
@@ -86,5 +127,5 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   PrintSummary();
-  return 0;
+  return check && !CpuScalingIsMonotone() ? 1 : 0;
 }

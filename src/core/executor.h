@@ -42,6 +42,9 @@ struct QueryResult {
   /// [combined group key, aggregates...], sorted by key.
   std::vector<std::vector<int64_t>> rows;
   sim::VTime modeled_seconds = 0;  ///< virtual-time latency on the modeled server
+  /// End of the build phase within modeled_seconds: the hash-table watermark
+  /// the probe pipelines start at (router bring-up included).
+  sim::VTime build_seconds = 0;
   double wall_seconds = 0;         ///< host wall-clock of the functional execution
   sim::CostStats stats;            ///< aggregate work counters
   uint64_t query_id = 0;           ///< session id the query ran under

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -363,21 +364,27 @@ Status GraphBuilder::Analyze() {
     if (stage.in.segmenter == -1) {
       return Status::Internal("build stage without a source segmenter");
     }
+    stage.in.options.broadcast_per_unit = true;
     spec_.build_stages.push_back(std::move(stage));
   }
 
-  // Broadcast hash joins replicate one table per device unit: a mutated
-  // placement that leaves a probe unit without its replica — or builds two
-  // replicas on one unit — must surface as a Status here, not abort inside
-  // the HtRegistry at probe time.
+  // Broadcast hash joins replicate one table per device unit, built by every
+  // instance of that unit's build branch (k instances insert into it). A
+  // mutated placement that leaves a probe unit without its replica — or puts
+  // two build branches on one unit — must surface as a Status here, not abort
+  // inside the HtRegistry at build or probe time.
   std::unordered_map<int, std::unordered_set<int>> build_units;
   for (const StageSpec& stage : spec_.build_stages) {
     auto& units = build_units[stage.span.join_id];
-    for (const auto& dev : stage.instances) {
-      if (!units.insert(HtRegistry::UnitOf(dev)).second) {
-        return Status::InvalidArgument(
-            "join " + std::to_string(stage.span.join_id) +
-            " builds two hash-table replicas on unit " + dev.ToString());
+    for (const auto& branch : stage.branch_nodes) {
+      std::unordered_set<int> branch_units;
+      for (const auto& dev : ClassifySpan(plan, branch).instances) {
+        const int unit = HtRegistry::UnitOf(dev);
+        if (branch_units.insert(unit).second && !units.insert(unit).second) {
+          return Status::InvalidArgument(
+              "join " + std::to_string(stage.span.join_id) +
+              " builds two hash-table replicas on unit " + dev.ToString());
+        }
       }
     }
   }
@@ -446,18 +453,20 @@ class DramPhaseGuard {
   DramPhaseGuard(sim::Topology* topo, const QuerySession& session,
                  const std::vector<const StageSpec*>& stages, sim::VTime start)
       : topo_(topo), epoch_(session.epoch) {
-    std::map<int, int> workers;
     for (const StageSpec* stage : stages) {
       for (const auto& dev : stage->instances) {
-        if (dev.is_cpu()) workers[dev.index] += 1;
+        if (dev.is_cpu()) workers_[dev.index] += 1;
       }
     }
-    for (const auto& [socket, n] : workers) {
+    for (const auto& [socket, n] : workers_) {
       if (n <= 0) continue;
       tokens_.emplace_back(socket, topo_->socket_dram(socket).Register(
                                        session.query_id, epoch_ + start, n));
     }
   }
+
+  /// The phase's CPU workers per socket.
+  const std::map<int, int>& workers() const { return workers_; }
 
   /// Closes the phase's intervals at session-local `end`.
   void Close(sim::VTime end) {
@@ -478,6 +487,7 @@ class DramPhaseGuard {
  private:
   sim::Topology* topo_;
   sim::VTime epoch_;
+  std::map<int, int> workers_;
   std::vector<std::pair<int, uint64_t>> tokens_;
 };
 
@@ -563,9 +573,6 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     switch (stage.span.role) {
       case PipelineSpan::Role::kBuild:
         cfg->role = StageConfig::Role::kBuild;
-        cfg->build_join_id = stage.span.join_id;
-        cfg->build_capacity = compiler->JoinHtCapacity(stage.span.join_id);
-        cfg->build_payload_width = compiler->JoinPayloadWidth(stage.span.join_id);
         break;
       case PipelineSpan::Role::kFilterStage:
         cfg->role = StageConfig::Role::kFilterStage;
@@ -696,11 +703,15 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
        << ";w=" << compiler->JoinPayloadWidth(stage.span.join_id);
     // Exact unit-set match: Analyze() proved the build placement covers every
     // probe unit, so a replica set built for the same units covers them too.
-    std::vector<int> units;
-    for (const auto& dev : stage.instances) units.push_back(HtRegistry::UnitOf(dev));
-    std::sort(units.begin(), units.end());
+    // Each unit appears once, however many instances built its replica.
+    std::set<int> units;
+    for (const auto& dev : stage.instances) units.insert(HtRegistry::UnitOf(dev));
     os << ";units=";
-    for (size_t i = 0; i < units.size(); ++i) os << (i ? "," : "") << units[i];
+    const char* sep = "";
+    for (int unit : units) {
+      os << sep << unit;
+      sep = ",";
+    }
     acq->key = os.str();
   };
 
@@ -796,6 +807,16 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
             std::to_string(stage.span.join_id) + " but the query has " +
             std::to_string(compiler->spec().joins.size()) + " join(s)");
       }
+      // One replica per (join, unit), created before its k builders start.
+      std::set<int> units;
+      for (const auto& dev : stage.instances) {
+        if (!units.insert(HtRegistry::UnitOf(dev)).second) continue;
+        hts.Create(session.query_id, stage.span.join_id, dev,
+                   &system_->memory().manager(
+                       system_->topology().LocalMemNode(dev)),
+                   compiler->JoinHtCapacity(stage.span.join_id),
+                   compiler->JoinPayloadWidth(stage.span.join_id));
+      }
       RuntimeStage rt;
       rt.cfg = make_config(stage);
       rt.cfg->pipeline = compiler->CompileSpan(stage.span, nullptr);
@@ -810,7 +831,9 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
       if (!st.ok()) return st;
       builds.push_back(std::move(rt));
     }
-    for (auto& g : builds) g.group->Start();
+    // Every build worker of the phase streams concurrently: a socket's fluid
+    // share divides by all of them, not just one group's.
+    for (auto& g : builds) g.group->Start(&build_dram.workers());
     for (auto& g : builds) g.source->Start();
     for (auto& g : builds) g.source->Join();
     for (auto& g : builds) g.group->Join();
@@ -850,6 +873,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   // starts, so this query's fact-stage blocks never overlap (and never get
   // charged for) its own closed build interval.
   build_dram.Close(probe_start);
+  result->build_seconds = probe_start;
 
   // -------------------------------------------------------------- fact stages
   std::vector<CompiledPipeline> pipelines;

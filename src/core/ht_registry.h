@@ -34,7 +34,10 @@ struct SharedBuildLease {
 
 /// \brief Join hash tables shared between build and probe pipelines, keyed by
 /// (query, join id, device unit). A "unit" is one CPU socket or one GPU — the
-/// replica granularity of broadcast hash joins.
+/// replica granularity of broadcast hash joins. GraphBuilder creates each
+/// replica once, before the unit's build instances start (a socket runs k of
+/// them, all inserting into the one table); build and probe pipelines only
+/// Get it.
 ///
 /// The registry is System-owned and shared by every in-flight query, so keys
 /// carry the owning query id: two concurrent queries joining the same dimension
@@ -62,6 +65,8 @@ class HtRegistry {
     return dev.is_cpu() ? dev.index : 1000 + dev.index;
   }
 
+  /// Registers a fresh replica for (query, join, unit of `unit`); a second
+  /// Create of the same key aborts.
   jit::JoinHashTable* Create(uint64_t query, int join_id, sim::DeviceId unit,
                              memory::MemoryManager* mm, uint64_t capacity,
                              int payload_width);

@@ -91,17 +91,11 @@ void VmProcessor::Init(WorkerInstance& inst) {
   }
   ht_slots_.assign(n_slots, nullptr);
 
-  if (cfg_->role == StageConfig::Role::kBuild) {
-    jit::JoinHashTable* ht = cfg_->hts->Create(
-        cfg_->query_id, cfg_->build_join_id, inst.device(),
-        &inst.provider().memory_manager(), cfg_->build_capacity,
-        cfg_->build_payload_width);
-    ht_slots_[0] = ht;
-  } else {
-    for (size_t i = 0; i < pipeline.ht_join_slots.size(); ++i) {
-      ht_slots_[i] = cfg_->hts->Get(cfg_->query_id, pipeline.ht_join_slots[i],
-                                    inst.device());
-    }
+  // Build and probe pipelines alike bind their unit's replicas: the lowering
+  // creates each (join, unit) table once, before any of its k builders start.
+  for (size_t i = 0; i < pipeline.ht_join_slots.size(); ++i) {
+    ht_slots_[i] = cfg_->hts->Get(cfg_->query_id, pipeline.ht_join_slots[i],
+                                  inst.device());
   }
 
   if (pipeline.agg_ht_slot >= 0) {

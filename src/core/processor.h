@@ -39,11 +39,6 @@ struct StageConfig {
   Edge* out = nullptr;          ///< downstream edge (null for gather)
   ResultSink* result = nullptr; ///< gather only
 
-  // Build stages.
-  int build_join_id = -1;
-  uint64_t build_capacity = 0;
-  int build_payload_width = 0;
-
   // Emit configuration.
   uint64_t block_bytes = 1ull << 20;
   int n_buckets = 1;            ///< hash-pack buckets (>1 only for kFilterStage)

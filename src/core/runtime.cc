@@ -21,6 +21,19 @@ WorkerInstance::WorkerInstance(int id, sim::DeviceId device, System* system,
 Edge::Edge(System* system, Options options, std::vector<WorkerInstance*> consumers)
     : system_(system), options_(options), consumers_(std::move(consumers)) {
   HETEX_CHECK(!consumers_.empty()) << "edge with no consumers";
+  if (options_.policy != Policy::kBroadcast) return;
+  std::map<int, size_t> unit_replica;
+  for (WorkerInstance* c : consumers_) {
+    if (options_.broadcast_per_unit) {
+      const auto [it, fresh] = unit_replica.emplace(
+          HtRegistry::UnitOf(c->device()), replicas_.size());
+      if (!fresh) {
+        replicas_[it->second].push_back(c);
+        continue;
+      }
+    }
+    replicas_.push_back({c});
+  }
 }
 
 void Edge::CloseProducer() {
@@ -270,15 +283,20 @@ void Edge::Push(DataMsg msg, sim::MemNodeId producer_node) {
 
   if (options_.policy == Policy::kBroadcast) {
     // Mem-move owns broadcast (data-flow duplication); the router then routes by
-    // target id — from its perspective this is just a hash policy (§3.1).
-    for (size_t i = 0; i < consumers_.size(); ++i) {
+    // target id — from its perspective this is just a hash policy (§3.1). A
+    // replica shared by several instances takes each message on one of them,
+    // rotated by the edge's message sequence (segmenter-fed edges have a
+    // single producer, so the rotation is deterministic).
+    const uint64_t seq = rr_next_.fetch_add(1, std::memory_order_relaxed);
+    for (size_t i = 0; i < replicas_.size(); ++i) {
       DataMsg copy;
       copy.rows = msg.rows;
       copy.ready_at = msg.ready_at;
       copy.tag = i;  // target id produced by the mem-move
       copy.cols = msg.cols;
       AddRefMsgBlocks(copy);
-      DeliverTo(consumers_[i], std::move(copy), producer_node);
+      const auto& replica = replicas_[i];
+      DeliverTo(replica[seq % replica.size()], std::move(copy), producer_node);
     }
     ReleaseMsgBlocks(system_, msg, producer_node);
     return;
@@ -353,17 +371,19 @@ std::vector<WorkerInstance*> WorkerGroup::instance_ptrs() {
   return out;
 }
 
-void WorkerGroup::Start() {
+void WorkerGroup::Start(const std::map<int, int>* socket_workers) {
   // Deterministic per-socket worker counts drive the CPU fluid-share model.
-  std::map<int, int> socket_workers;
+  std::map<int, int> own_workers;
   for (auto& inst : instances_) {
-    if (inst->device().is_cpu()) socket_workers[inst->device().index] += 1;
+    if (inst->device().is_cpu()) own_workers[inst->device().index] += 1;
   }
+  if (socket_workers == nullptr) socket_workers = &own_workers;
   for (auto& inst : instances_) {
     inst->set_clock(initial_clock_);
     if (inst->device().is_cpu()) {
+      const auto it = socket_workers->find(inst->device().index);
       static_cast<jit::CpuProvider&>(inst->provider())
-          .set_socket_concurrency(socket_workers[inst->device().index]);
+          .set_socket_concurrency(it != socket_workers->end() ? it->second : 1);
     }
     if (out_ != nullptr) out_->AddProducer();
   }

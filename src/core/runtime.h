@@ -133,8 +133,10 @@ class WorkerInstance {
 /// cannot access a block's memory node, the mem-move half of the edge acquires a
 /// staging block on the consumer-local node and schedules an asynchronous DMA,
 /// attaching the ticket to the message (paper §3.2). Broadcast duplicates data
-/// flow here (one copy per distinct target node, reference-shared within a node);
-/// the router half only routes the resulting (block, target-id) pairs.
+/// flow here: one reference-shared copy of the handles per replica (per
+/// consumer, or per device unit when the unit's consumers share one replica),
+/// each moved to its target's node on its own; the router half only routes the
+/// resulting (block, target-id) pairs.
 class Edge {
  public:
   enum class Policy {
@@ -142,7 +144,7 @@ class Edge {
     kLoadBalance,  ///< least virtual-time backlog (default; GPU-local blocks
                    ///< prefer their local GPU)
     kHash,         ///< consumer = tag % consumers (requires hash-packed blocks)
-    kBroadcast,    ///< every consumer receives every message
+    kBroadcast,    ///< every replica receives every message (see Options)
   };
 
   struct Options {
@@ -158,6 +160,11 @@ class Edge {
     /// drop (and release) further messages instead of moving them. Null =
     /// uncontrolled session.
     const QueryControl* control = nullptr;
+    /// kBroadcast: the consumers on one device unit (HtRegistry::UnitOf)
+    /// share one replica — the k instances of a parallel hash-join build —
+    /// so each message reaches one of them, rotated by message sequence,
+    /// instead of every consumer.
+    bool broadcast_per_unit = false;
   };
 
   Edge(System* system, Options options, std::vector<WorkerInstance*> consumers);
@@ -184,6 +191,9 @@ class Edge {
   System* system_;
   Options options_;
   std::vector<WorkerInstance*> consumers_;
+  /// kBroadcast targets: one group per replica (a single consumer, or a
+  /// unit's consumers with broadcast_per_unit), in first-consumer order.
+  std::vector<std::vector<WorkerInstance*>> replicas_;
   std::atomic<int> producers_{0};
   std::atomic<uint64_t> rr_next_{0};
 };
@@ -214,7 +224,9 @@ class WorkerGroup {
               sim::VTime initial_clock, sim::VTime epoch = 0.0,
               uint64_t query_id = 0, const QueryControl* control = nullptr);
 
-  void Start();
+  /// `socket_workers` (per-socket CPU workers of the execution phase this
+  /// group runs in) is the CPU fluid-share divisor; null = the group's own.
+  void Start(const std::map<int, int>* socket_workers = nullptr);
   void Join();
 
   int size() const { return static_cast<int>(instances_.size()); }

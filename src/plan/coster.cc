@@ -320,6 +320,7 @@ StageRole ClassifyStage(const HetPlan& plan, const StageEst& stage) {
 
 /// One instance's pricing inputs for a stage.
 struct InstanceCost {
+  sim::DeviceId dev;             ///< the instance's device unit
   sim::VTime block_time = 0;     ///< per-block completion (compute/transfer max)
   sim::VTime transfer_time = 0;  ///< per-block interconnect share (diagnostic)
   int link = -1;                 ///< PCIe link the per-block DMA occupies
@@ -327,15 +328,32 @@ struct InstanceCost {
 };
 
 /// Distributes `total_blocks` over `insts` under the router policy and returns
-/// the stage completion time (max per-instance finish).
+/// the stage completion time (max per-instance finish). `per_unit` mirrors
+/// Edge::Options::broadcast_per_unit: a broadcast reaches every unit once, and
+/// the instances sharing a unit's replica take its blocks in rotation.
 sim::VTime DistributeBlocks(RouterPolicy policy, uint64_t total_blocks,
-                            std::vector<InstanceCost>* insts) {
+                            std::vector<InstanceCost>* insts,
+                            bool per_unit = false) {
   const size_t n = insts->size();
   if (n == 0 || total_blocks == 0) return 0;
   switch (policy) {
-    case RouterPolicy::kBroadcast:
-      for (auto& i : *insts) i.blocks = total_blocks;
+    case RouterPolicy::kBroadcast: {
+      std::map<std::pair<int, int>, std::vector<InstanceCost*>> replicas;
+      for (size_t i = 0; i < n; ++i) {
+        InstanceCost& ic = (*insts)[i];
+        const std::pair<int, int> key =
+            per_unit ? std::make_pair(static_cast<int>(ic.dev.type), ic.dev.index)
+                     : std::make_pair(-1, static_cast<int>(i));
+        replicas[key].push_back(&ic);
+      }
+      for (auto& [key, members] : replicas) {
+        const uint64_t k = members.size();
+        for (uint64_t m = 0; m < k; ++m) {
+          members[m]->blocks = total_blocks / k + (m < total_blocks % k ? 1 : 0);
+        }
+      }
       break;
+    }
     case RouterPolicy::kLoadBalance: {
       // Greedy least-finish-time, the analytic analogue of the runtime's
       // virtual-time backlog balancing. Chunk very large block counts so the
@@ -588,27 +606,44 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     return p;
   };
 
-  auto build_profile = [&](size_t j, uint64_t* n_cols) {
+  // `in_width` / `n_cols`: the build columns a block carries (what a
+  // mem-move transfers).
+  auto build_profile = [&](size_t j, double* in_width, uint64_t* n_cols) {
     Profile p;
     const JoinSpec* join = j < spec_->joins.size() ? &spec_->joins[j] : nullptr;
-    double in_width = 8;
+    *in_width = 8;
     *n_cols = 1;
     double sel = 1.0;
+    double payload = 0;
+    p.bytes_read = *in_width;
     if (join != nullptr) {
       const storage::Table* t = catalog_->Get(join->build_table);
-      std::set<std::string> cols;
-      if (join->build_filter != nullptr) join->build_filter->CollectColumns(&cols);
+      auto width = [&](const std::string& c) -> double {
+        return t != nullptr && t->FindColumn(c) >= 0 ? t->column(c).width() : 8;
+      };
+      std::set<std::string> filter_cols;
+      if (join->build_filter != nullptr) {
+        join->build_filter->CollectColumns(&filter_cols);
+      }
+      std::set<std::string> cols = filter_cols;
       cols.insert(join->build_key);
       for (const auto& c : join->payload) cols.insert(c);
-      in_width = 0;
+      sel = j < cards_.join_selectivities.size() ? cards_.join_selectivities[j] : 1;
+      // The pipeline loads the filter's columns for every row and the key and
+      // payload columns only for the rows that pass it.
+      *in_width = 0;
+      p.bytes_read = 0;
       for (const auto& c : cols) {
-        in_width += t != nullptr && t->FindColumn(c) >= 0 ? t->column(c).width() : 8;
+        *in_width += width(c);
+        p.bytes_read += filter_cols.count(c) > 0 ? width(c) : sel * width(c);
       }
       *n_cols = cols.size();
       p.ops += ExprOps(join->build_filter) + 1;
-      sel = j < cards_.join_selectivities.size() ? cards_.join_selectivities[j] : 1;
+      payload = static_cast<double>(join->payload.size());
     }
-    p.bytes_read = in_width;
+    // Each insert writes its entry (key, chain link, payload) — the bytes the
+    // runtime's kHtInsert charges.
+    p.bytes_written = sel * (2 + payload) * sizeof(int64_t);
     p.ops += sel * 3;
     p.AddAccess(cm, ht_bytes(j), sel);
     p.atomics += sel;
@@ -645,19 +680,31 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     return frac;
   };
 
+  // Adds a stage's CPU workers to per-socket counts.
+  auto add_cpu_workers = [](const StageEst& stage, std::map<int, int>* workers) {
+    for (const auto& b : stage.branches) {
+      for (const auto& dev : b.instances) {
+        if (dev.is_cpu()) (*workers)[dev.index] += 1;
+      }
+    }
+  };
+
+  // `phase_workers`: the per-socket CPU workers of the whole execution phase
+  // the stage runs in (the build phase's divisor); null = the stage's own.
   auto stage_instances = [&](const StageEst& stage, const Profile& profile,
                              uint64_t block_rows, double in_width,
                              uint64_t cols,
-                             const storage::Table* src_table) {
+                             const storage::Table* src_table,
+                             const std::map<int, int>* phase_workers = nullptr) {
     std::vector<InstanceCost> out;
     // CPU workers share their socket's DRAM bandwidth — with this candidate's
     // own workers and with every other in-flight session's (the runtime's
     // cross-session fluid-share divisor).
     std::map<int, int> socket_workers;
-    for (const auto& b : stage.branches) {
-      for (const auto& dev : b.instances) {
-        if (dev.is_cpu()) socket_workers[dev.index] += 1;
-      }
+    if (phase_workers != nullptr) {
+      socket_workers = *phase_workers;
+    } else {
+      add_cpu_workers(stage, &socket_workers);
     }
     cols = std::max<uint64_t>(1, cols);
     const sim::CostStats block_stats =
@@ -693,6 +740,7 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     for (const auto& b : stage.branches) {
       for (const auto& dev : b.instances) {
         InstanceCost ic;
+        ic.dev = dev;
         if (dev.is_cpu()) {
           const int divisor =
               socket_workers[dev.index] + socket_backlog(dev.index);
@@ -867,6 +915,12 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   };
 
   // ------------------------------------------------------------------ builds
+  // Every build worker of the phase streams concurrently, so a socket's
+  // fluid share divides by all of them (as the runtime's build phase does).
+  std::map<int, int> build_workers;
+  for (const StageEst& stage : shape.build_stages) {
+    add_cpu_workers(stage, &build_workers);
+  }
   for (const StageEst& stage : shape.build_stages) {
     int join_id = -1;
     for (int id : stage.branches.front().nodes) {
@@ -881,14 +935,16 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
         stage, seg.block_rows > 0 ? seg.block_rows : 128 * 1024, src_table);
     const uint64_t blocks = std::max<uint64_t>(1, CeilDiv(rows, block_rows));
 
+    double in_width = 8;
     uint64_t n_cols = 1;
-    const Profile profile = build_profile(j, &n_cols);
-    const double in_width = profile.bytes_read;
+    const Profile profile = build_profile(j, &in_width, &n_cols);
     std::vector<InstanceCost> insts = stage_instances(
         stage, profile, std::min(block_rows, std::max<uint64_t>(1, rows)),
-        in_width, n_cols, src_table);
-    // Broadcast: every unit consumes the full build stream.
-    sim::VTime done = DistributeBlocks(RouterPolicy::kBroadcast, blocks, &insts);
+        in_width, n_cols, src_table, &build_workers);
+    // Broadcast: every unit consumes the full build stream, split across the
+    // unit's instances.
+    sim::VTime done = DistributeBlocks(RouterPolicy::kBroadcast, blocks, &insts,
+                                       /*per_unit=*/true);
     const sim::VTime source = static_cast<double>(blocks) *
                               (seg.per_block_cost + stage_control(stage));
     done = sim::MaxT(done, source);

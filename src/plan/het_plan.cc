@@ -1,5 +1,7 @@
 #include "plan/het_plan.h"
 
+#include <algorithm>
+#include <map>
 #include <sstream>
 #include <unordered_set>
 
@@ -197,7 +199,22 @@ HetPlan BuildHetPlan(const QuerySpec& spec, const ExecPolicy& policy,
   };
 
   // --- Build subplans: one shared segmenter+broadcast per join, one build chain
-  // per participating device unit.
+  // per participating device unit. A CPU unit's chain runs as k instances that
+  // insert into the unit's one replica: the socket's workers, idle until the
+  // probe starts, split evenly across the query's concurrent build networks.
+  // GPU units (one whole-device kernel) and bare plans keep k = 1.
+  std::map<int, int> socket_workers;
+  for (const auto& dev : layout.probe_instances) {
+    if (dev.is_cpu()) socket_workers[dev.index] += 1;
+  }
+  auto build_instances = [&](sim::DeviceId unit) {
+    int k = 1;
+    if (unit.is_cpu() && layout.routers_present && !spec.joins.empty()) {
+      k = std::max(1, socket_workers[unit.index] /
+                          static_cast<int>(spec.joins.size()));
+    }
+    return std::vector<sim::DeviceId>(static_cast<size_t>(k), unit);
+  };
   std::vector<std::vector<int>> cpu_builds;  // per join: build nodes on CPU units
   std::vector<std::vector<int>> gpu_builds;
   for (size_t j = 0; j < spec.joins.size(); ++j) {
@@ -218,6 +235,8 @@ HetPlan BuildHetPlan(const QuerySpec& spec, const ExecPolicy& policy,
                       {chain});
       }
       const auto dev_type = unit.type;
+      const std::vector<sim::DeviceId> instances = build_instances(unit);
+      const int dop = static_cast<int>(instances.size());
       if (unit.is_gpu()) {
         // Without routers there is no mem-move below: the launch addresses host
         // data in place over UVA (waives the §3.3 rule-3 mem-move requirement).
@@ -228,16 +247,16 @@ HetPlan BuildHetPlan(const QuerySpec& spec, const ExecPolicy& policy,
                       {chain});
         plan.node(chain).uva = !layout.routers_present;
       }
-      chain = place(b.Add(Kind::kUnpack, dev_type, "", {chain}), {unit});
+      chain = place(b.Add(Kind::kUnpack, dev_type, "", {chain}, dop), instances);
       if (join.build_filter != nullptr) {
         chain = place(b.Add(Kind::kFilter, dev_type, join.build_filter->ToString(),
-                            {chain}),
-                      {unit});
+                            {chain}, dop),
+                      instances);
       }
       chain = place(b.Add(Kind::kJoinBuild, dev_type,
                           "ht[" + std::to_string(j) + "] on " + unit.ToString(),
-                          {chain}),
-                    {unit});
+                          {chain}, dop),
+                    instances);
       plan.node(chain).join_id = static_cast<int>(j);
       (unit.is_gpu() ? gpu_builds : cpu_builds)[j].push_back(chain);
     }

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "plan/coster.h"
 #include "plan/het_plan.h"
+#include "ssb/reference.h"
 #include "test_util.h"
 
 namespace hetex::core {
@@ -45,16 +49,21 @@ TEST_F(GraphBuilderTest, CpuOnlyLoweringMatchesPlan) {
   const HetPlan plan = Plan(spec, TestEnv::Tune(ExecPolicy::CpuOnly(4)));
   const LoweredSpec lowered = Lower(plan);
 
-  // One build stage per join, each instanced once per kJoinBuild replica.
+  // One build stage per join with one replica branch per socket. Each socket's
+  // 2 workers split across 3 concurrent builds, so k = max(1, 2 / 3) = 1:
+  // 2 instances per stage.
   ASSERT_EQ(lowered.build_stages.size(), spec.joins.size());
-  int plan_build_replicas = CountKind(plan, HetOpNode::Kind::kJoinBuild);
-  int lowered_build_instances = 0;
+  EXPECT_EQ(CountKind(plan, HetOpNode::Kind::kJoinBuild),
+            2 * static_cast<int>(spec.joins.size()));
   for (const auto& s : lowered.build_stages) {
     EXPECT_EQ(s.span.role, PipelineSpan::Role::kBuild);
     EXPECT_EQ(s.in.options.policy, Edge::Policy::kBroadcast);
-    lowered_build_instances += static_cast<int>(s.instances.size());
+    EXPECT_TRUE(s.in.options.broadcast_per_unit);
+    EXPECT_EQ(s.branch_nodes.size(), 2u);
+    ASSERT_EQ(s.instances.size(), 2u);
+    EXPECT_EQ(s.instances[0], sim::DeviceId::Cpu(0));
+    EXPECT_EQ(s.instances[1], sim::DeviceId::Cpu(1));
   }
-  EXPECT_EQ(lowered_build_instances, plan_build_replicas);
 
   // Fused plan: gather + probe stages; probe DOP = the fact router's fanout.
   ASSERT_EQ(lowered.fact_stages.size(), 2u);
@@ -106,14 +115,60 @@ TEST_F(GraphBuilderTest, HybridLoweringMergesBranchesOfOneExchange) {
   EXPECT_TRUE(probe.instances[4].is_gpu());
   ASSERT_EQ(probe.branch_nodes.size(), 2u);
 
-  // Build stages replicate per unit: 2 sockets + 2 GPUs.
+  // Build stages replicate per unit: 2 sockets + 2 GPUs, one instance each
+  // (socket 0 has 2 workers, socket 1 has 1, over 3 builds: k = 1).
   for (const auto& s : lowered.build_stages) {
+    EXPECT_EQ(s.branch_nodes.size(), 4u);
     EXPECT_EQ(s.instances.size(), 4u);
   }
 
   const auto result = env_.Run(spec, TestEnv::Tune(ExecPolicy::Hybrid(3)));
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_EQ(result.rows, env_.Reference(spec));
+}
+
+TEST_F(GraphBuilderTest, ParallelBuildLowering) {
+  // Q1.1 has one join: each socket's 2 workers both build its one replica.
+  const auto spec = env_.ssb->Query(1, 1);
+  const ExecPolicy policy = TestEnv::Tune(ExecPolicy::CpuOnly(4));
+  const HetPlan plan = Plan(spec, policy);
+  for (const auto& node : plan.nodes) {
+    if (node.kind != HetOpNode::Kind::kJoinBuild) continue;
+    ASSERT_EQ(node.placement.size(), 2u);
+    EXPECT_EQ(node.dop, 2);
+    EXPECT_EQ(node.placement[0], node.placement[1]);
+  }
+
+  const LoweredSpec lowered = Lower(plan);
+  ASSERT_EQ(lowered.build_stages.size(), 1u);
+  const StageSpec& build = lowered.build_stages[0];
+  ASSERT_EQ(build.branch_nodes.size(), 2u);  // one replica branch per socket
+  const auto cpu0 = sim::DeviceId::Cpu(0);
+  const auto cpu1 = sim::DeviceId::Cpu(1);
+  EXPECT_EQ(build.instances, (std::vector<sim::DeviceId>{cpu0, cpu0, cpu1, cpu1}));
+  EXPECT_TRUE(build.in.options.broadcast_per_unit);
+
+  // Four builders fill two replicas; the rows match the reference and the
+  // query's tables are dropped with its namespace.
+  QueryExecutor executor(env_.system.get());
+  const auto result = executor.ExecutePlan(spec, plan);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(result.rows, env_.Reference(spec));
+  EXPECT_EQ(env_.system->hts().NumTables(result.query_id), 0);
+
+  // Same plan with k = 1 (one builder per socket): same rows, a later
+  // probe watermark.
+  HetPlan serial = plan;
+  for (auto& node : serial.nodes) {
+    if (node.placement.size() == 2 && node.placement[0] == node.placement[1]) {
+      node.placement.resize(1);
+      node.dop = 1;
+    }
+  }
+  const auto one = executor.ExecutePlan(spec, serial);
+  ASSERT_TRUE(one.status.ok()) << one.status.ToString();
+  EXPECT_EQ(one.rows, result.rows);
+  EXPECT_LT(result.build_seconds, one.build_seconds);
 }
 
 TEST_F(GraphBuilderTest, SplitPlanLowersSharedHashExchange) {
@@ -319,6 +374,72 @@ TEST_F(GraphBuilderTest, DescribeRendersStagesAndEdges) {
         "policy=load-balance", "mem-move"}) {
     EXPECT_NE(s.find(expected), std::string::npos) << "missing " << expected;
   }
+}
+
+// Two concurrent build groups on one socket, k = 4 workers each, share the
+// socket's DRAM among all 2k = 8 build workers: each streams at exactly
+// min(cpu_core_bw, cpu_socket_bw / 8), in the runtime and in the coster. With
+// the group's own 4 workers as the divisor it would stream at cpu_core_bw.
+TEST(ParallelBuildTest, DramShareAcrossConcurrentGroups) {
+  constexpr int kCores = 8;
+  constexpr uint64_t kDimRows = 8192;
+  constexpr uint64_t kBlockRows = 256;
+  System::Options opts;
+  opts.topology.num_sockets = 1;
+  opts.topology.cores_per_socket = kCores;
+  opts.topology.num_gpus = 0;
+  opts.topology.host_capacity_per_socket = 1ull << 30;
+  // Pure streaming: no compute term and no fixed latencies, so a block's
+  // modeled time is its bytes over the fluid share.
+  sim::CostModel& cm = opts.topology.cost_model;
+  cm.cpu.tuple_cost = cm.cpu.op_cost = cm.cpu.atomic_cost = 0;
+  cm.cpu.near_access_cost = cm.cpu.mid_access_cost = cm.cpu.far_access_cost = 0;
+  cm.ScaleFixedLatencies(0);
+  opts.blocks.block_bytes = 64 << 10;
+  System system(opts);
+  ssb::Ssb::Options data;
+  data.scale = 0.001;
+  data.customer_rows = kDimRows;
+  data.supplier_rows = kDimRows;
+  ssb::Ssb ssb(data, &system.catalog());
+  for (const char* t : {"lineorder", "date", "customer", "supplier", "part"}) {
+    HETEX_CHECK_OK(
+        system.catalog().at(t).Place(system.HostNodes(), &system.memory()));
+  }
+
+  plan::QuerySpec spec;
+  spec.name = "two-builds";
+  spec.fact_table = "lineorder";
+  spec.joins.push_back(
+      {"customer", nullptr, "c_custkey", {"c_nation"}, "lo_custkey"});
+  spec.joins.push_back(
+      {"supplier", nullptr, "s_suppkey", {"s_nation"}, "lo_suppkey"});
+  spec.aggs.push_back({plan::Col("lo_revenue"), jit::AggFunc::kSum, "revenue"});
+  ExecPolicy policy = ExecPolicy::CpuOnly(kCores);
+  policy.block_rows = kBlockRows;
+  const HetPlan plan = plan::BuildHetPlan(spec, policy, system.topology());
+  for (const auto& node : plan.nodes) {
+    if (node.kind == HetOpNode::Kind::kJoinBuild) EXPECT_EQ(node.dop, 4);
+  }
+
+  // Each of a group's 4 builders takes 32 / 4 = 8 blocks of 256 rows; a row
+  // reads its 4-byte key and 4-byte payload and writes a 24-byte entry.
+  const double share = std::min(cm.cpu_core_bw, cm.cpu_socket_bw / 8);
+  ASSERT_LT(share, std::min(cm.cpu_core_bw, cm.cpu_socket_bw / 4));
+  const double expected = 8.0 * kBlockRows * (8 + 24) / share;
+
+  QueryExecutor executor(&system);
+  const QueryResult r = executor.ExecutePlan(spec, plan);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(r.rows, ssb::ReferenceExecute(spec, system.catalog()));
+  EXPECT_NEAR(r.build_seconds, expected, 1e-9 * expected);
+
+  plan::PlanCoster::Options coster_opts;
+  coster_opts.pack_block_rows = system.blocks().options().block_bytes / 8;
+  plan::PlanCoster coster(spec, system.catalog(), system.topology(), coster_opts);
+  const auto est = coster.Cost(plan);
+  ASSERT_TRUE(est.ok()) << est.status().ToString();
+  EXPECT_NEAR(est.value().build, expected, 1e-9 * expected);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/executor.h"
 #include "core/ht_registry.h"
 #include "core/result_cache.h"
 #include "core/scheduler.h"
@@ -292,6 +293,34 @@ TEST(ReuseTest, SharedBuildsConcurrentSameJoinQueriesParity) {
   EXPECT_EQ(attaches, (kQueries - 1) * n_joins);
   EXPECT_EQ(env.system->hts().NumSharedEntries(), n_joins);
   for (auto& h : handles) (void)h;  // namespaces dropped on completion
+}
+
+TEST(ReuseTest, ParallelBuildPublishesOneReplicaPerUnit) {
+  // Q1.1 has one join, so CpuOnly(4) builds each socket's replica with k = 2
+  // instances. The content key lists each unit once: a later k = 2 query and
+  // a k = 1 query over the same sockets both attach to that replica set.
+  test::TestEnv env(8'000, 2, 2, SharedOnly());
+  const plan::QuerySpec spec = env.ssb->Query(1, 1);
+  const auto reference = env.Reference(spec);
+  core::QueryExecutor executor(env.system.get());
+
+  const core::QueryResult built =
+      executor.Execute(spec, test::TestEnv::Tune(plan::ExecPolicy::CpuOnly(4)));
+  ASSERT_TRUE(built.status.ok()) << built.status.ToString();
+  EXPECT_EQ(built.rows, reference);
+  EXPECT_EQ(built.shared_builds, 1);
+  EXPECT_EQ(env.system->hts().NumSharedEntries(), 1);
+
+  for (int workers : {4, 2}) {
+    const core::QueryResult attached = executor.Execute(
+        spec, test::TestEnv::Tune(plan::ExecPolicy::CpuOnly(workers)));
+    ASSERT_TRUE(attached.status.ok()) << attached.status.ToString();
+    EXPECT_EQ(attached.rows, reference) << workers << " workers";
+    EXPECT_EQ(attached.shared_attaches, 1) << workers << " workers";
+    EXPECT_EQ(attached.shared_builds, 0) << workers << " workers";
+  }
+  EXPECT_EQ(env.system->hts().NumSharedEntries(), 1);
+  EXPECT_EQ(env.system->hts().shared_stats().attaches, 2u);
 }
 
 TEST(ReuseTest, OppositeBuildOrderQueriesDoNotDeadlock) {

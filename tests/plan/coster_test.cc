@@ -17,7 +17,27 @@ using test::TestEnv;
 /// Environment with dimension-size overrides (the skewed-cardinality regimes:
 /// tiny cache-resident build sides vs build sides rivaling the fact table).
 struct SkewEnv {
-  SkewEnv(uint64_t lineorder_rows, uint64_t customer_rows, uint64_t part_rows) {
+  SkewEnv(uint64_t lineorder_rows, uint64_t customer_rows, uint64_t part_rows)
+      : SkewEnv(MiniServer(), [&] {
+          ssb::Ssb::Options ssb_opts;
+          ssb_opts.lineorder_rows = lineorder_rows;
+          ssb_opts.scale = 0.002;
+          ssb_opts.customer_rows = customer_rows;
+          ssb_opts.part_rows = part_rows;
+          return ssb_opts;
+        }()) {}
+
+  SkewEnv(const core::System::Options& opts, const ssb::Ssb::Options& ssb_opts) {
+    system = std::make_unique<core::System>(opts);
+    ssb = std::make_unique<ssb::Ssb>(ssb_opts, &system->catalog());
+    for (const char* name :
+         {"lineorder", "date", "customer", "supplier", "part"}) {
+      HETEX_CHECK_OK(system->catalog().at(name).Place(system->HostNodes(),
+                                                      &system->memory()));
+    }
+  }
+
+  static core::System::Options MiniServer() {
     core::System::Options opts;
     opts.topology.num_sockets = 2;
     opts.topology.cores_per_socket = 2;
@@ -28,19 +48,7 @@ struct SkewEnv {
     opts.blocks.block_bytes = 64 << 10;
     opts.blocks.host_arena_blocks = 256;
     opts.blocks.gpu_arena_blocks = 128;
-    system = std::make_unique<core::System>(opts);
-
-    ssb::Ssb::Options ssb_opts;
-    ssb_opts.lineorder_rows = lineorder_rows;
-    ssb_opts.scale = 0.002;
-    ssb_opts.customer_rows = customer_rows;
-    ssb_opts.part_rows = part_rows;
-    ssb = std::make_unique<ssb::Ssb>(ssb_opts, &system->catalog());
-    for (const char* name :
-         {"lineorder", "date", "customer", "supplier", "part"}) {
-      HETEX_CHECK_OK(system->catalog().at(name).Place(system->HostNodes(),
-                                                      &system->memory()));
-    }
+    return opts;
   }
 
   std::unique_ptr<core::System> system;
@@ -450,6 +458,30 @@ TEST(PlanOptimizerTest, EnumeratorRespectsBaseConstraints) {
 // picked plan is never worse than 1.2x the measured-best candidate.
 // --------------------------------------------------------------------------
 
+/// Measures every ranked candidate of `spec` under `base` and checks the
+/// optimizer's pick against the measured best.
+void ExpectPickedWithin1_2xOfMeasuredBest(core::System* system,
+                                          const plan::QuerySpec& spec,
+                                          const ExecPolicy& base) {
+  core::QueryExecutor executor(system);
+  plan::OptimizeResult opt;
+  ASSERT_TRUE(executor.Optimize(spec, base, &opt).ok());
+  ASSERT_FALSE(opt.ranked.empty());
+
+  double best_measured = -1;
+  double picked_measured = -1;
+  for (size_t i = 0; i < opt.ranked.size(); ++i) {
+    const double t = Measure(system, spec, opt.ranked[i].candidate.plan);
+    ASSERT_GT(t, 0) << opt.ranked[i].candidate.label;
+    if (i == 0) picked_measured = t;
+    if (best_measured < 0 || t < best_measured) best_measured = t;
+  }
+  EXPECT_LE(picked_measured, 1.2 * best_measured)
+      << spec.name << ": picked " << opt.best().label << " at "
+      << picked_measured << "s vs measured best " << best_measured << "s\n"
+      << opt.ToString();
+}
+
 class OptimizerAccuracyTest : public ::testing::TestWithParam<std::pair<int, int>> {
  protected:
   static TestEnv* env() {
@@ -460,28 +492,58 @@ class OptimizerAccuracyTest : public ::testing::TestWithParam<std::pair<int, int
 
 TEST_P(OptimizerAccuracyTest, PickedPlanWithin1_2xOfMeasuredBest) {
   const auto [flight, idx] = GetParam();
-  const auto spec = env()->ssb->Query(flight, idx);
-  core::QueryExecutor executor(env()->system.get());
-
-  plan::OptimizeResult opt;
-  ASSERT_TRUE(
-      executor.Optimize(spec, TestEnv::Tune(ExecPolicy::Hybrid(3)), &opt).ok());
-  ASSERT_FALSE(opt.ranked.empty());
-
-  double best_measured = -1;
-  double picked_measured = -1;
-  for (size_t i = 0; i < opt.ranked.size(); ++i) {
-    const double t =
-        Measure(env()->system.get(), spec, opt.ranked[i].candidate.plan);
-    ASSERT_GT(t, 0) << opt.ranked[i].candidate.label;
-    if (i == 0) picked_measured = t;
-    if (best_measured < 0 || t < best_measured) best_measured = t;
-  }
-  EXPECT_LE(picked_measured, 1.2 * best_measured)
-      << spec.name << ": picked " << opt.best().label << " at "
-      << picked_measured << "s vs measured best " << best_measured << "s\n"
-      << opt.ToString();
+  ExpectPickedWithin1_2xOfMeasuredBest(env()->system.get(),
+                                       env()->ssb->Query(flight, idx),
+                                       TestEnv::Tune(ExecPolicy::Hybrid(3)));
 }
+
+// The same bound where the build phase dominates: the stream benchmark's
+// scaling (SF1000 at 1:2000 — fixed latencies and 512-row blocks scaled
+// down, dimension tables kept large next to the fact table) on the paper's
+// 2x12-core + 2-GPU server, shrunk 20x to keep tier-1 fast. Builds take
+// ~80% of each query's modeled time; each socket's idle cores build its
+// replica, and GPU replicas wait on full-column PCIe broadcasts.
+class BuildDominatedAccuracyTest
+    : public ::testing::TestWithParam<std::pair<int, int>> {
+ protected:
+  static SkewEnv* env() {
+    static SkewEnv* instance = [] {
+      core::System::Options opts;
+      opts.topology.gpu_capacity = 48ull << 20;
+      opts.topology.cost_model.ScaleFixedLatencies(0.5 / 1000);
+      opts.blocks.block_bytes = 16 << 10;
+      // A split candidate's 12 filter instances per socket each hold one
+      // 16 KB block per wire column for each of the 26 consumers' buckets
+      // until their input ends; the arena must cover that hold.
+      opts.blocks.host_arena_blocks = 2560;
+      opts.blocks.gpu_arena_blocks = 384;
+      ssb::Ssb::Options data;
+      data.lineorder_rows = 30'000;
+      data.scale = 0.01;
+      data.customer_rows = 30'000;
+      data.supplier_rows = 7'500;
+      data.part_rows = 20'000;
+      return new SkewEnv(opts, data);
+    }();
+    return instance;
+  }
+};
+
+TEST_P(BuildDominatedAccuracyTest, PickedPlanWithin1_2xOfMeasuredBest) {
+  const auto [flight, idx] = GetParam();
+  ExecPolicy base;
+  base.block_rows = 512;
+  ExpectPickedWithin1_2xOfMeasuredBest(env()->system.get(),
+                                       env()->ssb->Query(flight, idx), base);
+}
+
+INSTANTIATE_TEST_SUITE_P(JoinFlights, BuildDominatedAccuracyTest,
+                         ::testing::Values(std::pair{2, 1}, std::pair{3, 1},
+                                           std::pair{4, 1}),
+                         [](const auto& info) {
+                           return "Q" + std::to_string(info.param.first) +
+                                  std::to_string(info.param.second);
+                         });
 
 std::vector<std::pair<int, int>> AllSsbQueries() {
   std::vector<std::pair<int, int>> qs;

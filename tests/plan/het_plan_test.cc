@@ -173,7 +173,11 @@ TEST_F(HetPlanTest, StampsLoweringParameters) {
         break;
       case HetOpNode::Kind::kJoinBuild:
         EXPECT_EQ(n.join_id, 0);
-        ASSERT_EQ(n.placement.size(), 1u);
+        // One unit per build chain: each socket's 2 workers build its replica
+        // (k = 2 workers / 1 join), each GPU builds its own with one kernel.
+        ASSERT_EQ(n.placement.size(), n.placement.at(0).is_cpu() ? 2u : 1u);
+        EXPECT_EQ(static_cast<int>(n.placement.size()), n.dop);
+        for (const auto& dev : n.placement) EXPECT_EQ(dev, n.placement[0]);
         break;
       case HetOpNode::Kind::kJoinProbe:
       case HetOpNode::Kind::kReduceLocal:

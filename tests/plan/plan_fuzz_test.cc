@@ -223,6 +223,39 @@ TEST_P(PlanFuzzTest, MutatedPlansValidateOrExecute) {
   EXPECT_EQ(sane.rows, reference[spec.name]);
 }
 
+// A build branch may run as k instances on one unit (they share its replica),
+// but two kJoinBuild branches on one unit would build two replicas: the
+// lowering must name that as a Status before anything runs.
+TEST(DuplicateReplicaPlanFuzzTest, TwoBuildBranchesOnOneUnitAreRejected) {
+  TestEnv env(10'000);
+  core::QueryExecutor executor(env.system.get());
+  const QuerySpec spec = env.ssb->Query(1, 1);  // one join: k = 2 per socket
+  HetPlan plan = BuildHetPlan(spec, TestEnv::Tune(ExecPolicy::CpuOnly(4)),
+                              env.system->topology());
+  int retargeted = 0;
+  for (auto& node : plan.nodes) {
+    if (node.placement.empty() || node.placement[0] != sim::DeviceId::Cpu(1)) {
+      continue;
+    }
+    const bool build_branch = node.placement.size() == 2 &&
+                              node.placement[1] == sim::DeviceId::Cpu(1);
+    if (build_branch) {
+      node.placement.assign(node.placement.size(), sim::DeviceId::Cpu(0));
+      ++retargeted;
+    }
+  }
+  ASSERT_GT(retargeted, 0);
+  ASSERT_TRUE(ValidateHetPlan(plan).ok());
+
+  const core::QueryResult r = executor.ExecutePlan(spec, plan);
+  EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument) << r.status.ToString();
+  EXPECT_NE(r.status.ToString().find(
+                "join 0 builds two hash-table replicas on unit cpu0"),
+            std::string::npos)
+      << r.status.ToString();
+  EXPECT_EQ(env.system->hts().NumTables(r.query_id), 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(PinnedSeeds, PlanFuzzTest,
                          ::testing::Values(0xFEEDull, 1337ull, 20260729ull),
                          [](const auto& info) {
