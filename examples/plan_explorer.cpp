@@ -168,7 +168,7 @@ void ReportSpanTiers(core::System& system, const core::GraphBuilder& builder,
       if (!r.ok()) {
         if (print) {
           std::printf("  %s %s: compile failed: %s\n", label,
-                      core::PipelineSpan::RoleName(stage.span.role),
+                      plan::SpanRoleName(stage.role),
                       r.status().ToString().c_str());
         }
         return;
@@ -181,7 +181,7 @@ void ReportSpanTiers(core::System& system, const core::GraphBuilder& builder,
     const auto after_cpu = cache.counters(sim::DeviceType::kCpu);
     const auto after_gpu = cache.counters(sim::DeviceType::kGpu);
     const std::string span_name =
-        std::string(label) + " " + core::PipelineSpan::RoleName(stage.span.role);
+        std::string(label) + " " + plan::SpanRoleName(stage.role);
     if (out != nullptr) {
       out->push_back({span_name, TierName(program->EffectiveTier()),
                       program->EffectiveTierReason()});
@@ -204,7 +204,7 @@ void ReportSpanTiers(core::System& system, const core::GraphBuilder& builder,
 
   if (print) std::printf("span tiers + program cache:\n");
   for (const auto& stage : spec.build_stages) {
-    report_stage(stage, "build", compiler.CompileSpan(stage.span, nullptr));
+    report_stage(stage, "build", compiler.CompileSpan(stage, nullptr));
   }
   // Fact stages compile through the same schema-threading path execution uses.
   std::vector<core::CompiledPipeline> pipelines;

@@ -18,30 +18,6 @@ namespace {
 
 using Kind = plan::HetOpNode::Kind;
 
-/// Operators executed inside a worker pipeline (spans).
-bool IsSpanKind(Kind k) {
-  return k == Kind::kUnpack || k == Kind::kPack || k == Kind::kHashPack ||
-         k == Kind::kFilter || k == Kind::kProject || k == Kind::kJoinBuild ||
-         k == Kind::kJoinProbe || k == Kind::kReduceLocal ||
-         k == Kind::kGroupByLocal || k == Kind::kGather;
-}
-
-/// Operators lowered onto edges (and the segmenter, lowered to a SourceDriver).
-bool IsTransportKind(Kind k) {
-  return k == Kind::kRouter || k == Kind::kMemMove || k == Kind::kCpu2Gpu ||
-         k == Kind::kGpu2Cpu || k == Kind::kSegmenter;
-}
-
-/// Exchange decoration: converters that ride on an edge rather than in a span.
-bool IsDecorationKind(Kind k) {
-  return k == Kind::kMemMove || k == Kind::kCpu2Gpu || k == Kind::kGpu2Cpu;
-}
-
-/// A pack marks the producer side of an exchange: walking consumer→producer,
-/// reaching one starts a new span even when no transport operator separates
-/// them (bare plans route partials straight from pack to gather).
-bool IsProducerTop(Kind k) { return k == Kind::kPack || k == Kind::kHashPack; }
-
 Edge::Policy LowerPolicy(plan::RouterPolicy policy) {
   switch (policy) {
     case plan::RouterPolicy::kRoundRobin: return Edge::Policy::kRoundRobin;
@@ -88,22 +64,22 @@ std::string LoweredSpec::ToString() const {
      << fact_stages.size() << " fact stage(s), " << TotalInstances()
      << " instance(s)\n";
   auto print_stage = [&os](const StageSpec& stage, const char* label) {
-    os << label << " " << PipelineSpan::RoleName(stage.span.role);
-    if (stage.span.role == PipelineSpan::Role::kBuild) {
-      os << " ht[" << stage.span.join_id << "]";
+    os << label << " " << plan::SpanRoleName(stage.role);
+    if (stage.role == plan::SpanRole::kBuild) {
+      os << " ht[" << stage.join_id << "]";
     }
     os << " x" << stage.instances.size() << " [";
     for (size_t i = 0; i < stage.instances.size(); ++i) {
       os << (i ? " " : "") << stage.instances[i].ToString();
     }
     os << "]\n";
-    os << "  edge: policy=" << PolicyName(stage.in.options.policy)
-       << (stage.in.options.mem_move ? " mem-move" : " no-mem-move")
-       << (stage.in.uva ? " uva" : "");
-    if (stage.in.options.crossing_latency > 0) {
-      os << " crossing=" << stage.in.options.crossing_latency;
+    os << "  edge: policy=" << PolicyName(stage.options.policy)
+       << (stage.options.mem_move ? " mem-move" : " no-mem-move")
+       << (stage.uva ? " uva" : "");
+    if (stage.options.crossing_latency > 0) {
+      os << " crossing=" << stage.options.crossing_latency;
     }
-    os << " control=" << stage.in.options.control_cost << "\n";
+    os << " control=" << stage.options.control_cost << "\n";
   };
   for (const auto& stage : build_stages) print_stage(stage, "build stage:");
   for (const auto& stage : fact_stages) print_stage(stage, "fact stage:");
@@ -113,9 +89,8 @@ std::string LoweredSpec::ToString() const {
 Status GraphBuilder::Analyze() {
   spec_ = LoweredSpec{};
   const plan::HetPlan& plan = *plan_;
-  if (plan.root < 0 || plan.root >= static_cast<int>(plan.nodes.size())) {
-    return Status::InvalidArgument("plan has no root node");
-  }
+  Result<plan::StagePartition> parts = plan::PartitionSpans(plan);
+  if (!parts.ok()) return parts.status();
   spec_.channel_capacity = plan.channel_capacity;
   for (const auto& n : plan.nodes) {
     if (n.kind == Kind::kRouter) {
@@ -123,139 +98,12 @@ Status GraphBuilder::Analyze() {
     }
   }
 
-  std::vector<int> build_tops;  // kJoinBuild span tops, discovery order
-  std::unordered_set<int> seen_build_tops;
-
-  // Walks consumer→producer from `top` collecting one pipeline span; stops at
-  // the first transport operator or producer-side pack, which becomes `feed`.
-  auto collect_span = [&](int top, std::vector<int>* nodes, int* feed) -> Status {
-    int cur = top;
-    while (true) {
-      const plan::HetOpNode& n = plan.node(cur);
-      if (!IsSpanKind(n.kind)) {
-        return Status::Internal(std::string("pipeline span contains operator ") +
-                                plan::HetOpNode::KindName(n.kind));
-      }
-      nodes->push_back(cur);
-      if (nodes->size() > plan.nodes.size()) {
-        return Status::Internal("pipeline span does not terminate (plan cycle)");
-      }
-      if (n.kind == Kind::kJoinProbe) {
-        // Build-side children are separate pipeline networks.
-        for (size_t c = 1; c < n.children.size(); ++c) {
-          if (seen_build_tops.insert(n.children[c]).second) {
-            build_tops.push_back(n.children[c]);
-          }
-        }
-      }
-      if (n.children.empty()) {
-        return Status::Internal("pipeline span reaches a leaf without a source");
-      }
-      const int child = n.children[0];
-      const Kind ck = plan.node(child).kind;
-      if (IsTransportKind(ck) || IsProducerTop(ck)) {
-        *feed = child;
-        return Status::OK();
-      }
-      cur = child;
-    }
-  };
-
-  // Walks one decoration chain (mem-move / device crossings) to its exchange
-  // terminal (router, segmenter or producer pack), harvesting the UVA marker
-  // and crossing latency into `e` when given. Returns -1 on a dangling chain
-  // or cycle. The single walker keeps the consumer-side, producer-side and
-  // grouping passes from diverging on what decoration means.
-  auto walk_decoration = [&](int from, EdgeSpec* e) -> int {
-    int cur = from;
-    size_t steps = 0;
-    while (IsDecorationKind(plan.node(cur).kind)) {
-      const plan::HetOpNode& n = plan.node(cur);
-      if (e != nullptr) {
-        if (n.kind == Kind::kCpu2Gpu) {
-          if (plan::IsUvaCrossing(n)) e->uva = true;
-        } else if (n.kind == Kind::kGpu2Cpu) {
-          e->options.crossing_latency =
-              std::max(e->options.crossing_latency, n.crossing_latency);
-        }  // kMemMove: locality is restored on every non-UVA edge regardless
-      }
-      if (n.children.empty() || ++steps > plan.nodes.size()) return -1;
-      cur = n.children[0];
-    }
-    return cur;
-  };
-  auto terminal_of = [&](int feed) -> int { return walk_decoration(feed, nullptr); };
-
-  // Lowers the exchange below a stage's branch spans (`feeds`: one entry per
-  // branch) into an EdgeSpec: consumer-side decoration → shared router →
-  // producer-side decoration → producer span tops / source segmenter.
-  auto parse_feed = [&](const std::vector<int>& feeds, EdgeSpec* e) -> Status {
-    for (int feed : feeds) {
-      const int cur = walk_decoration(feed, e);
-      if (cur < 0) {
-        return Status::Internal("dangling or cyclic exchange decoration");
-      }
-      const plan::HetOpNode& n = plan.node(cur);
-      if (n.kind == Kind::kRouter) {
-        if (e->router != -1 && e->router != cur) {
-          return Status::Internal("stage branches fed by different routers");
-        }
-        e->router = cur;
-      } else if (n.kind == Kind::kSegmenter) {
-        // Bare plan: the source feeds the span directly.
-        if (e->segmenter != -1 && e->segmenter != cur) {
-          return Status::Internal("exchange fed by multiple segmenters");
-        }
-        e->segmenter = cur;
-      } else if (IsProducerTop(n.kind)) {
-        e->producer_tops.push_back(cur);
-      } else {
-        return Status::Internal(std::string("span fed by non-exchange operator ") +
-                                plan::HetOpNode::KindName(n.kind));
-      }
-    }
-
-    if (e->router != -1) {
-      const plan::HetOpNode& r = plan.node(e->router);
-      e->options.policy = LowerPolicy(r.policy);
-      e->options.control_cost = r.control_cost;
-      for (int child : r.children) {
-        const int cur = walk_decoration(child, e);
-        if (cur < 0) {
-          return Status::Internal("dangling or cyclic exchange decoration");
-        }
-        const plan::HetOpNode& n = plan.node(cur);
-        if (n.kind == Kind::kSegmenter) {
-          if (e->segmenter != -1 && e->segmenter != cur) {
-            return Status::Internal("exchange fed by multiple segmenters");
-          }
-          e->segmenter = cur;
-        } else if (IsSpanKind(n.kind)) {
-          e->producer_tops.push_back(cur);
-        } else {
-          return Status::Internal(
-              std::string("router fed by non-pipeline operator ") +
-              plan::HetOpNode::KindName(n.kind));
-        }
-      }
-    } else {
-      e->options.policy = Edge::Policy::kRoundRobin;
-      e->options.control_cost = 0;
-    }
-    if (e->segmenter != -1 && !e->producer_tops.empty()) {
-      return Status::Internal("exchange mixes a segmenter with pipeline producers");
-    }
-    // Relational operators are data-location agnostic: every exchange fixes
-    // locality on the consumer side unless the plan opted into UVA addressing.
-    e->options.mem_move = !e->uva;
-    return Status::OK();
-  };
-
-  // Hand-mutated plans can stamp placements the server does not have; surface
-  // them as a Status instead of letting provider construction abort.
+  // Lowers one plan stage's exchange to Edge options. Hand-mutated plans can
+  // stamp placements the server does not have; surface them as a Status
+  // instead of letting provider construction abort.
   const sim::Topology& topo = system_->topology();
-  auto check_instances = [&](const std::vector<sim::DeviceId>& instances) -> Status {
-    for (const auto& dev : instances) {
+  auto lower = [&](plan::PlanStage& stage, std::vector<StageSpec>* out) -> Status {
+    for (const auto& dev : stage.instances) {
       const int limit = dev.is_cpu() ? topo.num_sockets() : topo.num_gpus();
       if (dev.index < 0 || dev.index >= limit) {
         return Status::InvalidArgument(
@@ -263,109 +111,27 @@ Status GraphBuilder::Analyze() {
             std::to_string(limit) + " " + (dev.is_cpu() ? "socket(s)" : "GPU(s)"));
       }
     }
+    Edge::Options options;
+    options.policy = Edge::Policy::kRoundRobin;
+    options.control_cost = 0;
+    if (stage.router != -1) {
+      const plan::HetOpNode& r = plan.node(stage.router);
+      options.policy = LowerPolicy(r.policy);
+      options.control_cost = r.control_cost;
+    }
+    // Relational operators are data-location agnostic: every exchange fixes
+    // locality on the consumer side unless the plan opted into UVA addressing.
+    options.mem_move = !stage.uva;
+    options.crossing_latency = stage.crossing_latency;
+    out->push_back(StageSpec{std::move(stage), options});
     return Status::OK();
   };
-
-  auto make_stage = [&](std::vector<std::vector<int>> branch_nodes, EdgeSpec in,
-                        StageSpec* out) -> Status {
-    for (size_t i = 0; i < branch_nodes.size(); ++i) {
-      PipelineSpan span = ClassifySpan(plan, branch_nodes[i]);
-      if (span.instances.empty()) {
-        return Status::Internal("pipeline span without a placement stamp");
-      }
-      HETEX_RETURN_NOT_OK(check_instances(span.instances));
-      if (i > 0 && (span.role != out->span.role ||
-                    span.join_id != out->span.join_id ||
-                    span.n_buckets != out->span.n_buckets)) {
-        // Merged branches compile from branch 0's span; inconsistent stamps
-        // would be silently ignored, so reject them instead.
-        return Status::Internal("exchange feeds inconsistently stamped spans");
-      }
-      out->instances.insert(out->instances.end(), span.instances.begin(),
-                            span.instances.end());
-      if (i == 0) out->span = std::move(span);
-    }
-    out->branch_nodes = std::move(branch_nodes);
-    out->in = std::move(in);
-    return Status::OK();
-  };
-
-  // --- Fact-side chain: from the result node down to the fact segmenter.
-  const plan::HetOpNode& root = plan.node(plan.root);
-  if (root.kind != Kind::kResult || root.children.size() != 1) {
-    return Status::InvalidArgument("plan root must be a single-input result node");
+  for (plan::PlanStage& stage : parts->fact_stages) {
+    HETEX_RETURN_NOT_OK(lower(stage, &spec_.fact_stages));
   }
-  std::vector<int> tops = {root.children[0]};
-  while (true) {
-    // A cycle through an exchange re-discovers the same producer tops forever;
-    // a legal chain cannot have more stages than the plan has nodes.
-    if (spec_.fact_stages.size() > plan.nodes.size()) {
-      return Status::Internal("fact chain does not terminate (plan cycle)");
-    }
-    std::vector<std::vector<int>> branch_nodes;
-    std::vector<int> feeds;
-    for (int top : tops) {
-      std::vector<int> nodes;
-      int feed = -1;
-      Status st = collect_span(top, &nodes, &feed);
-      if (!st.ok()) return st;
-      branch_nodes.push_back(std::move(nodes));
-      feeds.push_back(feed);
-    }
-    EdgeSpec in;
-    Status st = parse_feed(feeds, &in);
-    if (!st.ok()) return st;
-    StageSpec stage;
-    st = make_stage(std::move(branch_nodes), std::move(in), &stage);
-    if (!st.ok()) return st;
-
-    const bool at_source = stage.in.segmenter != -1;
-    std::vector<int> next = stage.in.producer_tops;
-    spec_.fact_stages.push_back(std::move(stage));
-    if (at_source) break;
-    if (next.empty()) return Status::Internal("exchange with no producers");
-    tops = std::move(next);
-  }
-  if (spec_.fact_stages.front().span.role != PipelineSpan::Role::kGather) {
-    return Status::Internal("fact chain must terminate in a gather stage");
-  }
-
-  // --- Build networks: group the kJoinBuild spans by their feeding exchange
-  // (all per-unit replicas of one join share its broadcast router).
-  struct BuildGroup {
-    std::vector<std::vector<int>> branch_nodes;
-    std::vector<int> feeds;
-  };
-  std::vector<int> group_keys;
-  std::unordered_map<int, BuildGroup> by_key;
-  for (int top : build_tops) {
-    std::vector<int> nodes;
-    int feed = -1;
-    Status st = collect_span(top, &nodes, &feed);
-    if (!st.ok()) return st;
-    const int key = terminal_of(feed);
-    if (key < 0) return Status::Internal("build span with a dangling feed");
-    if (by_key.find(key) == by_key.end()) group_keys.push_back(key);
-    BuildGroup& g = by_key[key];
-    g.branch_nodes.push_back(std::move(nodes));
-    g.feeds.push_back(feed);
-  }
-  for (int key : group_keys) {
-    BuildGroup& g = by_key[key];
-    EdgeSpec in;
-    Status st = parse_feed(g.feeds, &in);
-    if (!st.ok()) return st;
-    StageSpec stage;
-    st = make_stage(std::move(g.branch_nodes), std::move(in), &stage);
-    if (!st.ok()) return st;
-    if (stage.span.role != PipelineSpan::Role::kBuild) {
-      return Status::Internal("join-probe child span is not a build pipeline");
-    }
-    if (stage.in.segmenter == -1) {
-      return Status::Internal("build stage without a source segmenter");
-    }
-    stage.in.options.broadcast_per_unit = true;
-    spec_.build_stages.push_back(std::move(stage));
+  for (plan::PlanStage& stage : parts->build_stages) {
+    HETEX_RETURN_NOT_OK(lower(stage, &spec_.build_stages));
+    spec_.build_stages.back().options.broadcast_per_unit = true;
   }
 
   // Broadcast hash joins replicate one table per device unit, built by every
@@ -375,14 +141,14 @@ Status GraphBuilder::Analyze() {
   // inside the HtRegistry at build or probe time.
   std::unordered_map<int, std::unordered_set<int>> build_units;
   for (const StageSpec& stage : spec_.build_stages) {
-    auto& units = build_units[stage.span.join_id];
-    for (const auto& branch : stage.branch_nodes) {
+    auto& units = build_units[stage.join_id];
+    for (const auto& branch : stage.branches) {
       std::unordered_set<int> branch_units;
-      for (const auto& dev : ClassifySpan(plan, branch).instances) {
+      for (const auto& dev : branch.instances) {
         const int unit = HtRegistry::UnitOf(dev);
         if (branch_units.insert(unit).second && !units.insert(unit).second) {
           return Status::InvalidArgument(
-              "join " + std::to_string(stage.span.join_id) +
+              "join " + std::to_string(stage.join_id) +
               " builds two hash-table replicas on unit " + dev.ToString());
         }
       }
@@ -390,8 +156,8 @@ Status GraphBuilder::Analyze() {
   }
   for (const StageSpec& stage : spec_.fact_stages) {
     std::unordered_set<int> joins;
-    for (const auto& branch : stage.branch_nodes) {
-      for (int id : branch) {
+    for (const auto& branch : stage.branches) {
+      for (int id : branch.nodes) {
         if (plan.node(id).kind == Kind::kJoinProbe) {
           joins.insert(plan.node(id).join_id);
         }
@@ -416,7 +182,7 @@ Status GraphBuilder::Analyze() {
   // aborting inside the router.
   for (size_t i = 0; i + 1 < spec_.fact_stages.size(); ++i) {
     const StageSpec& stage = spec_.fact_stages[i];
-    if (!stage.in.uva || stage.in.producer_tops.empty()) continue;
+    if (!stage.uva || stage.producer_tops.empty()) continue;
     const StageSpec& producer = spec_.fact_stages[i + 1];
     for (const auto& dev : producer.instances) {
       if (dev.is_gpu()) {
@@ -500,14 +266,14 @@ Status GraphBuilder::CompileFactPipelines(
   const int n_fact = static_cast<int>(spec_.fact_stages.size());
   out->assign(n_fact, {});
   for (int i = n_fact - 1; i >= 0; --i) {
-    const PipelineSpan::Role role = spec_.fact_stages[i].span.role;
-    const PipelineSpan::Role* producer =
-        i + 1 < n_fact ? &spec_.fact_stages[i + 1].span.role : nullptr;
+    const plan::SpanRole role = spec_.fact_stages[i].role;
+    const plan::SpanRole* producer =
+        i + 1 < n_fact ? &spec_.fact_stages[i + 1].role : nullptr;
     const std::vector<ColSlot>* upstream = nullptr;
     switch (role) {
-      case PipelineSpan::Role::kProbe:
+      case plan::SpanRole::kProbe:
         if (producer != nullptr) {
-          if (*producer != PipelineSpan::Role::kFilterStage) {
+          if (*producer != plan::SpanRole::kFilterStage) {
             return Status::Unsupported(
                 "probe stage fed by a packed producer whose wire schema the "
                 "compiler cannot thread (only filter-stage producers supported)");
@@ -515,22 +281,22 @@ Status GraphBuilder::CompileFactPipelines(
           upstream = &(*out)[i + 1].output_cols;
         }
         break;
-      case PipelineSpan::Role::kFilterStage:
+      case plan::SpanRole::kFilterStage:
         if (producer != nullptr) {
           return Status::Unsupported(
               "filter stage must read its source table directly");
         }
         break;
-      case PipelineSpan::Role::kGather:
-        if (producer != nullptr && *producer != PipelineSpan::Role::kProbe) {
+      case plan::SpanRole::kGather:
+        if (producer != nullptr && *producer != plan::SpanRole::kProbe) {
           return Status::Unsupported(
               "gather stage must consume probe partials");
         }
         break;
-      case PipelineSpan::Role::kBuild:
+      case plan::SpanRole::kBuild:
         return Status::Internal("build span on the fact chain");
     }
-    (*out)[i] = compiler->CompileSpan(spec_.fact_stages[i].span, upstream);
+    (*out)[i] = compiler->CompileSpan(spec_.fact_stages[i], upstream);
   }
   return Status::OK();
 }
@@ -562,7 +328,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   const size_t channel_capacity = static_cast<size_t>(spec_.channel_capacity);
 
   auto session_edge_options = [&](const StageSpec& stage) {
-    Edge::Options options = stage.in.options;
+    Edge::Options options = stage.options;
     options.epoch = session.epoch;
     options.control = session.control;
     return options;
@@ -570,26 +336,13 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
 
   auto make_config = [&](const StageSpec& stage) {
     auto cfg = std::make_unique<StageConfig>();
-    switch (stage.span.role) {
-      case PipelineSpan::Role::kBuild:
-        cfg->role = StageConfig::Role::kBuild;
-        break;
-      case PipelineSpan::Role::kFilterStage:
-        cfg->role = StageConfig::Role::kFilterStage;
-        break;
-      case PipelineSpan::Role::kProbe:
-        cfg->role = StageConfig::Role::kProbe;
-        break;
-      case PipelineSpan::Role::kGather:
-        cfg->role = StageConfig::Role::kGather;
-        cfg->result = &sink;
-        break;
-    }
+    cfg->role = stage.role;
+    if (stage.role == plan::SpanRole::kGather) cfg->result = &sink;
     cfg->query_id = session.query_id;
     cfg->hts = &hts;
     cfg->programs = &system_->program_cache();
     cfg->block_bytes = block_bytes;
-    cfg->allow_uva = stage.in.uva;
+    cfg->allow_uva = stage.uva;
     return cfg;
   };
 
@@ -605,7 +358,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   auto make_source = [&](const StageSpec& stage, const StageConfig& cfg,
                          Edge* edge, sim::VTime clock,
                          std::unique_ptr<SourceDriver>* out) -> Status {
-    const plan::HetOpNode& seg = plan.node(stage.in.segmenter);
+    const plan::HetOpNode& seg = plan.node(stage.segmenter);
     const storage::Table* table = system_->catalog().Get(seg.table);
     if (table == nullptr || !table->placed()) {
       return Status::NotFound("source table missing or unplaced: " + seg.table);
@@ -623,25 +376,8 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
       }
       indices.push_back(idx);
     }
-    uint64_t block_rows = seg.block_rows > 0 ? seg.block_rows : 128 * 1024;
-    // GPU-touching stages bound the granularity: a scan block must fit one
-    // staging arena block when the mem-move copies it to device memory, and one
-    // GPU emit bucket (block_bytes / 8-byte slots) when the stage packs output.
-    // GPU-*resident* chunks bound it the same way whatever the instances are —
-    // a scan block of device memory crosses to any non-local consumer through
-    // a staging block too (peer or host-staged). Plans stamped coarser are
-    // clamped here — never crashed at transfer time.
-    const bool has_gpu_instance =
-        std::any_of(stage.instances.begin(), stage.instances.end(),
-                    [](sim::DeviceId dev) { return dev.is_gpu(); });
-    const bool has_gpu_chunk = std::any_of(
-        table->chunks().begin(), table->chunks().end(),
-        [&](const storage::Table::Chunk& c) {
-          return system_->topology().mem_node(c.node).is_gpu;
-        });
-    if (has_gpu_instance || has_gpu_chunk) {
-      block_rows = std::min(block_rows, std::max<uint64_t>(1, block_bytes / 8));
-    }
+    const uint64_t block_rows = plan::ScanBlockRows(
+        stage, seg, table, system_->topology(), block_bytes / 8);
     *out = std::make_unique<SourceDriver>(system_, table, std::move(indices),
                                           block_rows, edge, clock,
                                           seg.per_block_cost);
@@ -688,7 +424,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
 
   const bool share_builds = system_->reuse().shared_builds;
   auto shared_build_key = [&](const StageSpec& stage, SharedAcq* acq) {
-    const plan::JoinSpec& j = compiler->spec().joins[stage.span.join_id];
+    const plan::JoinSpec& j = compiler->spec().joins[stage.join_id];
     const storage::Table* table = system_->catalog().Get(j.build_table);
     acq->table = j.build_table;
     acq->epoch = table != nullptr ? table->mutation_epoch() : 0;
@@ -699,8 +435,8 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     for (size_t i = 0; i < j.payload.size(); ++i) {
       os << (i ? "," : "") << j.payload[i];
     }
-    os << ";cap=" << compiler->JoinHtCapacity(stage.span.join_id)
-       << ";w=" << compiler->JoinPayloadWidth(stage.span.join_id);
+    os << ";cap=" << compiler->JoinHtCapacity(stage.join_id)
+       << ";w=" << compiler->JoinPayloadWidth(stage.join_id);
     // Exact unit-set match: Analyze() proved the build placement covers every
     // probe unit, so a replica set built for the same units covers them too.
     // Each unit appears once, however many instances built its replica.
@@ -721,8 +457,8 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   // without sharing — map to no acquisition.
   std::vector<int> stage_acq;  // per build stage: index into acqs, or -1
   for (const StageSpec& stage : spec_.build_stages) {
-    if (!share_builds || stage.span.join_id < 0 ||
-        stage.span.join_id >= static_cast<int>(compiler->spec().joins.size())) {
+    if (!share_builds || stage.join_id < 0 ||
+        stage.join_id >= static_cast<int>(compiler->spec().joins.size())) {
       stage_acq.push_back(-1);
       continue;
     }
@@ -774,7 +510,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
       case SharedBuildLease::Role::kCancelled:
         break;  // unreachable: pass 2 returned
       case SharedBuildLease::Role::kAttach:
-        hts.AttachShared(acq.key, session.query_id, stage.span.join_id);
+        hts.AttachShared(acq.key, session.query_id, stage.join_id);
         attach_ready = sim::MaxT(attach_ready, acq.lease.ready_at);
         ++result->shared_attaches;
         break;
@@ -799,27 +535,26 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
       const StageSpec& stage = *stage_ptr;
       // Hand-mutated plans reach here through ExecutePlan: a stamped join id
       // the query does not have must surface as a Status, not a crash.
-      if (stage.span.join_id < 0 ||
-          stage.span.join_id >=
-              static_cast<int>(compiler->spec().joins.size())) {
+      if (stage.join_id < 0 ||
+          stage.join_id >= static_cast<int>(compiler->spec().joins.size())) {
         return Status::InvalidArgument(
             "build span stamped with join id " +
-            std::to_string(stage.span.join_id) + " but the query has " +
+            std::to_string(stage.join_id) + " but the query has " +
             std::to_string(compiler->spec().joins.size()) + " join(s)");
       }
       // One replica per (join, unit), created before its k builders start.
       std::set<int> units;
       for (const auto& dev : stage.instances) {
         if (!units.insert(HtRegistry::UnitOf(dev)).second) continue;
-        hts.Create(session.query_id, stage.span.join_id, dev,
+        hts.Create(session.query_id, stage.join_id, dev,
                    &system_->memory().manager(
                        system_->topology().LocalMemNode(dev)),
-                   compiler->JoinHtCapacity(stage.span.join_id),
-                   compiler->JoinPayloadWidth(stage.span.join_id));
+                   compiler->JoinHtCapacity(stage.join_id),
+                   compiler->JoinPayloadWidth(stage.join_id));
       }
       RuntimeStage rt;
       rt.cfg = make_config(stage);
-      rt.cfg->pipeline = compiler->CompileSpan(stage.span, nullptr);
+      rt.cfg->pipeline = compiler->CompileSpan(stage, nullptr);
       rt.group = std::make_unique<WorkerGroup>(
           system_, stage.instances, FactoryFor(rt.cfg.get()), nullptr,
           channel_capacity, init_clock, session.epoch, session.query_id,
@@ -853,7 +588,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
         if (acq.lease.role != SharedBuildLease::Role::kBuild) continue;
         for (size_t i = 0; i < exec_builds.size(); ++i) {
           if (exec_builds[i] != acq.stage) continue;
-          hts.PublishShared(acq.key, session.query_id, acq.stage->span.join_id,
+          hts.PublishShared(acq.key, session.query_id, acq.stage->join_id,
                             session.epoch + builds[i].group->max_end());
           acq.published = true;
           break;
@@ -896,7 +631,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     rt.cfg = make_config(stage);
     rt.cfg->pipeline = std::move(pipelines[i]);
     rt.cfg->out = downstream;
-    if (stage.span.role == PipelineSpan::Role::kFilterStage &&
+    if (stage.role == plan::SpanRole::kFilterStage &&
         downstream != nullptr) {
       rt.cfg->n_buckets = downstream->num_consumers();
     }
@@ -907,7 +642,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     rt.edge = std::make_unique<Edge>(system_, session_edge_options(stage),
                                      rt.group->instance_ptrs());
     downstream = rt.edge.get();
-    if (stage.in.segmenter != -1) {
+    if (stage.segmenter != -1) {
       Status st = make_source(stage, *rt.cfg, rt.edge.get(), probe_start,
                               &rt.source);
       if (!st.ok()) return st;

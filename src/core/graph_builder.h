@@ -9,28 +9,16 @@
 #include "core/executor.h"
 #include "core/runtime.h"
 #include "plan/het_plan.h"
+#include "plan/stages.h"
 
 namespace hetex::core {
 
-/// \brief Transport between pipeline spans: one HetPlan exchange (router plus
-/// its mem-move / device-crossing converter decoration) lowered to Edge options,
-/// or a direct segmenter feed in bare (no-HetExchange) plans.
-struct EdgeSpec {
-  int router = -1;      ///< plan node id of the kRouter (-1: bare direct feed)
-  int segmenter = -1;   ///< plan node id of the kSegmenter feeding this edge
+/// \brief One runtime stage: a plan stage (the merged, identically-programmed
+/// spans of every device-type branch one exchange feeds) plus the Edge options
+/// that exchange lowers to: router policy and control cost, mem-move,
+/// crossing latency, per-unit broadcast.
+struct StageSpec : plan::PlanStage {
   Edge::Options options;
-  bool uva = false;     ///< consumers address producer memory over UVA
-  std::vector<int> producer_tops;  ///< top plan nodes of the producer spans
-};
-
-/// \brief One runtime stage: a worker group (the merged, identically-programmed
-/// spans of every device-type branch fed by the same exchange) plus the edge —
-/// and possibly the source driver — feeding it.
-struct StageSpec {
-  PipelineSpan span;                    ///< representative span (first branch)
-  std::vector<std::vector<int>> branch_nodes;  ///< per-branch span node chains
-  std::vector<sim::DeviceId> instances;        ///< concatenated branch placements
-  EdgeSpec in;
 };
 
 /// \brief The physical-graph description lowered from a validated HetPlan:
@@ -53,17 +41,19 @@ struct LoweredSpec {
 /// \brief Lowers a validated HetPlan into the runtime graph and runs it.
 ///
 /// This is the paper's encapsulation contract made executable: the plan — not
-/// the engine — decides the execution shape. Analyze() partitions the DAG into
-/// pipeline spans and exchange edges using only the operators and the parameters
-/// BuildHetPlan stamped on them; Run() instantiates SourceDrivers, Edges and
-/// WorkerGroups from that spec and orchestrates the phased execution (builds
+/// the engine — decides the execution shape. Analyze() lowers the plan's stage
+/// partition (plan::PartitionSpans, the same stages PlanCoster prices) to edge
+/// options using only the parameters BuildHetPlan stamped, and checks what the
+/// server must provide (placements, hash-table replicas); Run() instantiates
+/// SourceDrivers, Edges and WorkerGroups from that spec and orchestrates the
+/// phased execution (builds
 /// concurrently, then the fact graph gated on the hash-table watermark). Any
-/// plan shape whose spans classify — split filter/probe stages, per-edge
+/// plan shape that partitions — split filter/probe stages, per-edge
 /// policy/placement/granularity mutations — runs without executor changes.
 ///
 /// Scope: the plan governs the *exchange* level (stage structure, placements,
 /// DOP, edge policies, block granularity, costs). The relational content of a
-/// span is compiled from the QuerySpec by role (CompileSpan), so mutating
+/// stage is compiled from the QuerySpec by role (CompileSpan), so mutating
 /// individual relational nodes inside a span (e.g. deleting a kFilter) does
 /// not change the generated pipeline.
 class GraphBuilder {
@@ -75,7 +65,7 @@ class GraphBuilder {
                const QuerySession* session = nullptr)
       : system_(system), plan_(plan), session_(session) {}
 
-  /// Partitions the plan DAG into the lowered spec. Fails (rather than CHECKs)
+  /// Lowers the plan's stage partition into the spec. Fails (rather than CHECKs)
   /// on shapes the runtime cannot instantiate, so callers can surface the
   /// Status in QueryResult.
   Status Analyze();

@@ -332,11 +332,11 @@ void VmProcessor::Finish(WorkerInstance& inst) {
     return;
   }
   switch (cfg_->role) {
-    case StageConfig::Role::kBuild:
+    case plan::SpanRole::kBuild:
       cfg_->hts->NoteBuildDone(cfg_->query_id, inst.clock());
       break;
 
-    case StageConfig::Role::kFilterStage: {
+    case plan::SpanRole::kFilterStage: {
       // Flush the partially-filled hash-pack blocks.
       for (auto& bucket : buckets_) {
         if (bucket->target.rows() > 0) {
@@ -350,7 +350,7 @@ void VmProcessor::Finish(WorkerInstance& inst) {
       break;
     }
 
-    case StageConfig::Role::kProbe: {
+    case plan::SpanRole::kProbe: {
       // Pipeline breaker: ship this instance's partial aggregates downstream
       // (the paper's pipelines 3/8: read local reduction, insert into the
       // gpu2cpu queue / router).
@@ -377,7 +377,7 @@ void VmProcessor::Finish(WorkerInstance& inst) {
       break;
     }
 
-    case StageConfig::Role::kGather: {
+    case plan::SpanRole::kGather: {
       HETEX_CHECK(cfg_->result != nullptr);
       if (agg_ht_ != nullptr) {
         std::vector<std::vector<int64_t>> rows;

@@ -26,6 +26,21 @@ struct JoinSpec {
   /// Optimizer cardinality estimate of the *filtered* build side (sizes the hash
   /// table, as a codegen engine would from catalog statistics). 0 = table rows.
   uint64_t build_rows_estimate = 0;
+
+  /// Hash-table capacity: the estimate with headroom (the build CHECKs on
+  /// overflow), else `fallback_rows`.
+  uint64_t HtCapacity(uint64_t fallback_rows) const {
+    return build_rows_estimate > 0 ? build_rows_estimate * 13 / 10 + 64
+                                   : fallback_rows;
+  }
+
+  /// Modeled bytes of a `capacity`-entry hash table: entries plus a bucket
+  /// array of ~2x entries (pow2-rounded; a coarse model is fine for picking
+  /// the random-access size class).
+  uint64_t HtBytes(uint64_t capacity) const {
+    const uint64_t stride = (2 + payload.size()) * sizeof(int64_t);
+    return capacity * stride + capacity * 2 * sizeof(int64_t);
+  }
 };
 
 /// One aggregate of the query's SELECT list.

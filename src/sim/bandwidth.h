@@ -255,18 +255,6 @@ class DramServer {
     return timeline_.num_segments();
   }
 
-  /// Workers registered by *open* phases of sessions other than `session` —
-  /// the instantaneous cross-query view (diagnostics and tests; pricing uses
-  /// BlockEnd / workers_overlapping).
-  int workers_besides(uint64_t session) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    int n = 0;
-    for (const auto& [token, e] : open_) {
-      if (e.session != session) n += e.workers;
-    }
-    return n;
-  }
-
   /// Fluid share one worker sees against the currently-open registrations:
   /// min(per-worker cap, aggregate / open workers). Idle server = full
   /// per-worker rate.
@@ -282,25 +270,6 @@ class DramServer {
     int n = 0;
     for (const auto& [token, e] : open_) n += e.workers;
     return n;
-  }
-
-  int active_sessions() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::map<uint64_t, int> distinct;
-    for (const auto& [token, e] : open_) distinct[e.session] = 1;
-    return static_cast<int>(distinct.size());
-  }
-
-  /// Earliest interval start among open registrations (diagnostics).
-  VTime min_epoch() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    VTime m = 0;
-    bool any = false;
-    for (const auto& [token, e] : open_) {
-      if (!any || e.start < m) m = e.start;
-      any = true;
-    }
-    return m;
   }
 
   double total_rate() const { return total_rate_; }

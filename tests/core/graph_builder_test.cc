@@ -56,10 +56,10 @@ TEST_F(GraphBuilderTest, CpuOnlyLoweringMatchesPlan) {
   EXPECT_EQ(CountKind(plan, HetOpNode::Kind::kJoinBuild),
             2 * static_cast<int>(spec.joins.size()));
   for (const auto& s : lowered.build_stages) {
-    EXPECT_EQ(s.span.role, PipelineSpan::Role::kBuild);
-    EXPECT_EQ(s.in.options.policy, Edge::Policy::kBroadcast);
-    EXPECT_TRUE(s.in.options.broadcast_per_unit);
-    EXPECT_EQ(s.branch_nodes.size(), 2u);
+    EXPECT_EQ(s.role, plan::SpanRole::kBuild);
+    EXPECT_EQ(s.options.policy, Edge::Policy::kBroadcast);
+    EXPECT_TRUE(s.options.broadcast_per_unit);
+    EXPECT_EQ(s.branches.size(), 2u);
     ASSERT_EQ(s.instances.size(), 2u);
     EXPECT_EQ(s.instances[0], sim::DeviceId::Cpu(0));
     EXPECT_EQ(s.instances[1], sim::DeviceId::Cpu(1));
@@ -67,14 +67,14 @@ TEST_F(GraphBuilderTest, CpuOnlyLoweringMatchesPlan) {
 
   // Fused plan: gather + probe stages; probe DOP = the fact router's fanout.
   ASSERT_EQ(lowered.fact_stages.size(), 2u);
-  EXPECT_EQ(lowered.fact_stages[0].span.role, PipelineSpan::Role::kGather);
+  EXPECT_EQ(lowered.fact_stages[0].role, plan::SpanRole::kGather);
   EXPECT_EQ(lowered.fact_stages[0].instances.size(), 1u);
-  EXPECT_EQ(lowered.fact_stages[1].span.role, PipelineSpan::Role::kProbe);
+  EXPECT_EQ(lowered.fact_stages[1].role, plan::SpanRole::kProbe);
   EXPECT_EQ(lowered.fact_stages[1].instances.size(), 4u);
   for (const auto& dev : lowered.fact_stages[1].instances) {
     EXPECT_TRUE(dev.is_cpu());
   }
-  EXPECT_EQ(lowered.fact_stages[1].in.options.policy, Edge::Policy::kLoadBalance);
+  EXPECT_EQ(lowered.fact_stages[1].options.policy, Edge::Policy::kLoadBalance);
   EXPECT_EQ(lowered.TotalEdges(), static_cast<int>(spec.joins.size()) + 2);
 
   const auto result = env_.Run(spec, TestEnv::Tune(ExecPolicy::CpuOnly(4)));
@@ -92,7 +92,7 @@ TEST_F(GraphBuilderTest, GpuOnlyLoweringMatchesPlan) {
   EXPECT_EQ(probe.instances.size(), 2u);  // both GPUs of the test topology
   for (const auto& dev : probe.instances) EXPECT_TRUE(dev.is_gpu());
   // The device->host partials crossing stamps its latency on the union edge.
-  EXPECT_GT(lowered.fact_stages[0].in.options.crossing_latency, 0.0);
+  EXPECT_GT(lowered.fact_stages[0].options.crossing_latency, 0.0);
   // Routers present: bring-up latency lifted from the plan stamps.
   EXPECT_GT(lowered.init_latency, 0.0);
 
@@ -113,12 +113,12 @@ TEST_F(GraphBuilderTest, HybridLoweringMergesBranchesOfOneExchange) {
   ASSERT_EQ(probe.instances.size(), 5u);  // 3 CPU workers + 2 GPUs
   EXPECT_TRUE(probe.instances[0].is_cpu());
   EXPECT_TRUE(probe.instances[4].is_gpu());
-  ASSERT_EQ(probe.branch_nodes.size(), 2u);
+  ASSERT_EQ(probe.branches.size(), 2u);
 
   // Build stages replicate per unit: 2 sockets + 2 GPUs, one instance each
   // (socket 0 has 2 workers, socket 1 has 1, over 3 builds: k = 1).
   for (const auto& s : lowered.build_stages) {
-    EXPECT_EQ(s.branch_nodes.size(), 4u);
+    EXPECT_EQ(s.branches.size(), 4u);
     EXPECT_EQ(s.instances.size(), 4u);
   }
 
@@ -142,11 +142,11 @@ TEST_F(GraphBuilderTest, ParallelBuildLowering) {
   const LoweredSpec lowered = Lower(plan);
   ASSERT_EQ(lowered.build_stages.size(), 1u);
   const StageSpec& build = lowered.build_stages[0];
-  ASSERT_EQ(build.branch_nodes.size(), 2u);  // one replica branch per socket
+  ASSERT_EQ(build.branches.size(), 2u);  // one replica branch per socket
   const auto cpu0 = sim::DeviceId::Cpu(0);
   const auto cpu1 = sim::DeviceId::Cpu(1);
   EXPECT_EQ(build.instances, (std::vector<sim::DeviceId>{cpu0, cpu0, cpu1, cpu1}));
-  EXPECT_TRUE(build.in.options.broadcast_per_unit);
+  EXPECT_TRUE(build.options.broadcast_per_unit);
 
   // Four builders fill two replicas; the rows match the reference and the
   // query's tables are dropped with its namespace.
@@ -179,11 +179,11 @@ TEST_F(GraphBuilderTest, SplitPlanLowersSharedHashExchange) {
   const LoweredSpec lowered = Lower(plan);
 
   ASSERT_EQ(lowered.fact_stages.size(), 3u);
-  EXPECT_EQ(lowered.fact_stages[0].span.role, PipelineSpan::Role::kGather);
-  EXPECT_EQ(lowered.fact_stages[1].span.role, PipelineSpan::Role::kProbe);
-  EXPECT_EQ(lowered.fact_stages[2].span.role, PipelineSpan::Role::kFilterStage);
+  EXPECT_EQ(lowered.fact_stages[0].role, plan::SpanRole::kGather);
+  EXPECT_EQ(lowered.fact_stages[1].role, plan::SpanRole::kProbe);
+  EXPECT_EQ(lowered.fact_stages[2].role, plan::SpanRole::kFilterStage);
   // Stage A and stage B are connected by the single hash exchange of the plan.
-  EXPECT_EQ(lowered.fact_stages[1].in.options.policy, Edge::Policy::kHash);
+  EXPECT_EQ(lowered.fact_stages[1].options.policy, Edge::Policy::kHash);
   EXPECT_EQ(lowered.fact_stages[1].instances.size(),
             lowered.fact_stages[2].instances.size());
 
@@ -200,8 +200,8 @@ TEST_F(GraphBuilderTest, BareCpuLoweringHasNoRouters) {
 
   EXPECT_EQ(lowered.init_latency, 0.0);  // no routers to bring up
   for (const auto& s : lowered.build_stages) {
-    EXPECT_EQ(s.in.router, -1);
-    EXPECT_EQ(s.in.options.control_cost, 0.0);
+    EXPECT_EQ(s.router, -1);
+    EXPECT_EQ(s.options.control_cost, 0.0);
     EXPECT_EQ(s.instances.size(), 1u);
   }
   ASSERT_EQ(lowered.fact_stages.size(), 2u);
@@ -222,15 +222,15 @@ TEST_F(GraphBuilderTest, BareGpuLoweringUsesUva) {
 
   // UVA addressing: no mem-move on the segmenter-fed edges.
   for (const auto& s : lowered.build_stages) {
-    EXPECT_TRUE(s.in.uva);
-    EXPECT_FALSE(s.in.options.mem_move);
+    EXPECT_TRUE(s.uva);
+    EXPECT_FALSE(s.options.mem_move);
   }
   const StageSpec& probe = lowered.fact_stages.back();
-  EXPECT_TRUE(probe.in.uva);
-  EXPECT_FALSE(probe.in.options.mem_move);
+  EXPECT_TRUE(probe.uva);
+  EXPECT_FALSE(probe.options.mem_move);
   // Partials still cross device->host with a real move.
-  EXPECT_TRUE(lowered.fact_stages[0].in.options.mem_move);
-  EXPECT_GT(lowered.fact_stages[0].in.options.crossing_latency, 0.0);
+  EXPECT_TRUE(lowered.fact_stages[0].options.mem_move);
+  EXPECT_GT(lowered.fact_stages[0].options.crossing_latency, 0.0);
 
   const auto result = env_.Run(spec, policy);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
@@ -361,6 +361,53 @@ TEST_F(GraphBuilderTest, AnalyzeRejectsMalformedDag) {
   plan.root = 0;  // no result node
   GraphBuilder builder(env_.system.get(), &plan);
   EXPECT_FALSE(builder.Analyze().ok());
+}
+
+// The coster and the lowering cut a plan through one partition, so every
+// shape the lowering rejects fails the coster with the same Status.
+TEST_F(GraphBuilderTest, CosterRejectsWhatTheLoweringRejects) {
+  const auto spec = env_.ssb->Query(1, 1);
+  const HetPlan base = Plan(spec, TestEnv::Tune(ExecPolicy::CpuOnly(2)));
+  int fact_seg = -1, build_seg = -1, fact_router = -1, union_router = -1;
+  int gather = -1;
+  for (size_t i = 0; i < base.nodes.size(); ++i) {
+    const HetOpNode& n = base.nodes[i];
+    const int id = static_cast<int>(i);
+    if (n.kind == HetOpNode::Kind::kSegmenter) {
+      (n.table == spec.fact_table ? fact_seg : build_seg) = id;
+    } else if (n.kind == HetOpNode::Kind::kRouter &&
+               n.policy == plan::RouterPolicy::kLoadBalance) {
+      fact_router = id;
+    } else if (n.kind == HetOpNode::Kind::kRouter &&
+               n.policy == plan::RouterPolicy::kUnion) {
+      union_router = id;
+    } else if (n.kind == HetOpNode::Kind::kGather) {
+      gather = id;
+    }
+  }
+  ASSERT_TRUE(fact_seg >= 0 && build_seg >= 0 && fact_router >= 0 &&
+              union_router >= 0 && gather >= 0);
+
+  HetPlan two_segmenters = base;
+  two_segmenters.node(fact_router).children.push_back(build_seg);
+  HetPlan segmenter_and_producers = base;
+  segmenter_and_producers.node(union_router).children.push_back(fact_seg);
+  HetPlan unstamped = base;
+  unstamped.node(gather).placement.clear();
+
+  plan::PlanCoster coster(spec, env_.system->catalog(), env_.system->topology());
+  const std::pair<const char*, const HetPlan*> cases[] = {
+      {"exchange fed by two segmenters", &two_segmenters},
+      {"segmenter mixed with pipeline producers", &segmenter_and_producers},
+      {"unstamped span", &unstamped}};
+  for (const auto& [what, plan] : cases) {
+    GraphBuilder builder(env_.system.get(), plan);
+    const Status lowered = builder.Analyze();
+    ASSERT_FALSE(lowered.ok()) << what;
+    const auto est = coster.Cost(*plan);
+    ASSERT_FALSE(est.ok()) << what << ": the coster priced it";
+    EXPECT_EQ(est.status().ToString(), lowered.ToString()) << what;
+  }
 }
 
 TEST_F(GraphBuilderTest, DescribeRendersStagesAndEdges) {

@@ -135,6 +135,33 @@ TEST(PlanCosterTest, BreakdownShapesMatchPlanShapes) {
   EXPECT_GT(bare.value().total, 0.0);
 }
 
+TEST(PlanCosterTest, BareGpuEstimateIncludesGatherCrossing) {
+  // A bare GPU plan feeds its gather straight from gpu2cpu, with no router in
+  // between. The lowering charges that crossing on the gather edge, and the
+  // estimate must charge it too.
+  TestEnv env(20'000);
+  const auto spec = env.ssb->Query(1, 2);
+  const plan::HetPlan crossed = plan::BuildHetPlan(
+      spec, TestEnv::Tune(ExecPolicy::Bare(sim::DeviceType::kGpu)),
+      env.system->topology());
+  plan::HetPlan uncrossed = crossed;
+  double crossing = 0;
+  for (auto& node : uncrossed.nodes) {
+    if (node.kind == plan::HetOpNode::Kind::kGpu2Cpu) {
+      crossing += node.crossing_latency;
+      node.crossing_latency = 0;
+    }
+  }
+  ASSERT_GT(crossing, 0.0);
+  plan::PlanCoster coster(spec, env.system->catalog(), env.system->topology());
+  const auto with = coster.Cost(crossed);
+  const auto without = coster.Cost(uncrossed);
+  ASSERT_TRUE(with.ok()) << with.status().ToString();
+  ASSERT_TRUE(without.ok()) << without.status().ToString();
+  EXPECT_NEAR(with.value().probe - without.value().probe, crossing,
+              1e-9 * crossing);
+}
+
 TEST(PlanCosterTest, LinkBacklogRaisesGpuPlanEstimates) {
   TestEnv env(20'000);
   const auto spec = env.ssb->Query(1, 1);

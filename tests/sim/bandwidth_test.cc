@@ -194,24 +194,28 @@ TEST(DramServer, PerWorkerCapUntilSaturation) {
 
 TEST(DramServer, SessionsSplitTheAggregate) {
   DramServer dram(45e9, 6e9);
-  // Session 10 runs 6 workers: its divisor is its own count only.
-  const uint64_t a = dram.Register(10, /*epoch=*/0.0, 6);
-  EXPECT_EQ(dram.workers_besides(10), 0);
-  EXPECT_EQ(dram.active_sessions(), 1);
-  // Session 11 arrives with 6 more: each session now sees the other's workers
-  // in its fluid-share divisor (6 own + 6 besides = 45/12 each).
-  const uint64_t b = dram.Register(11, /*epoch=*/2.5, 6);
-  EXPECT_EQ(dram.workers_besides(10), 6);
-  EXPECT_EQ(dram.workers_besides(11), 6);
+  // Session 10 runs 6 workers alone: its divisor is its own count only, so a
+  // block takes the solo fast path.
+  const uint64_t a = dram.Register(10, /*start=*/0.0, 6);
+  VTime end = -1;
+  EXPECT_FALSE(dram.BlockEnd(10, 6, 3.75e9, /*compute=*/0.0, 3.0, &end));
+  // Session 11 arrives at 2.5 with 6 more: each session now sees the other's
+  // workers in its fluid-share divisor (6 own + 6 others = 45/12 each).
+  const uint64_t b = dram.Register(11, /*start=*/2.5, 6);
   EXPECT_EQ(dram.active_workers(), 12);
-  EXPECT_EQ(dram.active_sessions(), 2);
+  EXPECT_EQ(dram.workers_overlapping(1.0), 6);
+  EXPECT_EQ(dram.workers_overlapping(3.0), 12);
   EXPECT_DOUBLE_EQ(dram.EffectiveRate(), 45e9 / 12);
-  EXPECT_DOUBLE_EQ(dram.min_epoch(), 0.0);
+  ASSERT_TRUE(dram.BlockEnd(10, 6, 3.75e9, 0.0, 3.0, &end));
+  EXPECT_DOUBLE_EQ(end, 4.0);  // 3.75 GB at 3.75 GB/s
+  ASSERT_TRUE(dram.BlockEnd(11, 6, 3.75e9, 0.0, 3.0, &end));
+  EXPECT_DOUBLE_EQ(end, 4.0);
+  // Session 10 leaves: session 11 is alone again.
   dram.Release(a);
-  EXPECT_EQ(dram.workers_besides(11), 0);
-  EXPECT_DOUBLE_EQ(dram.min_epoch(), 2.5);
+  EXPECT_FALSE(dram.BlockEnd(11, 6, 3.75e9, 0.0, 3.0, &end));
+  EXPECT_EQ(dram.active_workers(), 6);
   dram.Release(b);
-  EXPECT_EQ(dram.active_sessions(), 0);
+  EXPECT_EQ(dram.active_workers(), 0);
 }
 
 TEST(DramServer, OneSessionMayHoldSeveralRegistrations) {
@@ -220,12 +224,16 @@ TEST(DramServer, OneSessionMayHoldSeveralRegistrations) {
   DramServer dram(45e9, 6e9);
   const uint64_t build = dram.Register(7, 0.0, 2);
   const uint64_t fact = dram.Register(7, 0.0, 4);
-  EXPECT_EQ(dram.workers_besides(7), 0);
   EXPECT_EQ(dram.active_workers(), 6);
-  EXPECT_EQ(dram.active_sessions(), 1);
-  EXPECT_EQ(dram.workers_besides(8), 6);  // another session sees all of them
+  EXPECT_EQ(dram.workers_overlapping(0.5), 6);
+  VTime end = -1;
+  EXPECT_FALSE(dram.BlockEnd(7, 6, 1e9, 0.0, 0.5, &end));
+  // Another session sees all of them: 6 own + 6 others = 45/12 per worker.
+  ASSERT_TRUE(dram.BlockEnd(8, 6, 3.75e9, 0.0, 0.5, &end));
+  EXPECT_DOUBLE_EQ(end, 1.5);
   dram.Release(build);
   dram.Release(fact);
+  EXPECT_EQ(dram.active_workers(), 0);
 }
 
 // ---------------------------------------------------------------------------
