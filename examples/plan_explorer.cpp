@@ -111,31 +111,24 @@ void PrintFabricJson(const sim::Topology& topo, sim::VTime epoch) {
                 g == 0 ? "" : ",", gpu.id, gpu.mem, gpu.socket, gpu.pcie_link);
   }
   std::printf("\n],\n\"links\": [");
-  bool first = true;
-  auto backlog = [&](const sim::BandwidthServer& link) {
-    return sim::MaxT(0.0, link.free_at() - epoch);
-  };
-  for (int g = 0; g < topo.num_gpus(); ++g) {
-    const auto& link = topo.pcie_link(topo.PcieLinkOf(g));
-    std::printf("%s\n  {\"type\": \"pcie\", \"id\": %d, \"gpu\": %d, "
-                "\"socket\": %d, \"gbps\": %.3f, \"backlog_s\": %.9f}",
-                first ? "" : ",", topo.PcieLinkOf(g), g, topo.gpu(g).socket,
-                link.rate() / 1e9, backlog(link));
-    first = false;
-  }
-  for (int p = 0; p < topo.num_peer_links(); ++p) {
-    const auto& info = topo.peer_link_info(p);
-    std::printf("%s\n  {\"type\": \"peer\", \"id\": %d, \"gpu_a\": %d, "
-                "\"gpu_b\": %d, \"gbps\": %.3f, \"backlog_s\": %.9f}",
-                first ? "" : ",", info.id, info.gpu_a, info.gpu_b,
-                topo.peer_link(p).rate() / 1e9, backlog(topo.peer_link(p)));
-    first = false;
-  }
-  if (topo.has_inter_socket_link()) {
-    std::printf("%s\n  {\"type\": \"inter_socket\", \"gbps\": %.3f, "
-                "\"backlog_s\": %.9f}",
-                first ? "" : ",", topo.inter_socket_link().rate() / 1e9,
-                backlog(topo.inter_socket_link()));
+  for (int l = 0; l < topo.num_links(); ++l) {
+    const sim::Topology::Link& link = topo.link(l);
+    std::printf("%s\n  {\"id\": %d, ", l == 0 ? "" : ",", l);
+    switch (link.kind) {
+      case sim::LinkKind::kPcie:
+        std::printf("\"type\": \"pcie\", \"gpu\": %d, \"socket\": %d, ",
+                    link.a, link.b);
+        break;
+      case sim::LinkKind::kPeer:
+        std::printf("\"type\": \"peer\", \"gpu_a\": %d, \"gpu_b\": %d, ",
+                    link.a, link.b);
+        break;
+      case sim::LinkKind::kInterSocket:
+        std::printf("\"type\": \"inter_socket\", ");
+        break;
+    }
+    std::printf("\"gbps\": %.3f, \"backlog_s\": %.9f}", link.server.rate() / 1e9,
+                sim::MaxT(0.0, link.server.free_at() - epoch));
   }
   std::printf("\n]},\n");
 }

@@ -12,10 +12,10 @@ namespace hetex::core {
 
 /// \brief Everything a worker group needs to run one compiled stage.
 ///
-/// One StageConfig is shared by all instances of a group; each instance finalizes
-/// its own copy of the program through its device provider and binds its own
-/// state (the paper's per-device pipeline template + per-instance state creation,
-/// §4.2).
+/// One StageConfig is shared by all instances of a group; the instances share the
+/// program their device kind finalized once through the program cache and bind
+/// their own state (the paper's per-device pipeline template + per-instance state
+/// creation, §4.2).
 struct StageConfig {
   plan::SpanRole role = plan::SpanRole::kProbe;
   CompiledPipeline pipeline;
@@ -24,8 +24,8 @@ struct StageConfig {
   /// HtRegistry so concurrent queries never collide on (join id, unit).
   uint64_t query_id = 0;
 
-  /// Per-device program cache: the group's N instances finalize each distinct
-  /// span program exactly once. Null = every instance finalizes its own copy.
+  /// Per-device program cache (required): the group's N instances finalize
+  /// each distinct span program exactly once.
   ProgramCache* programs = nullptr;
 
   HtRegistry* hts = nullptr;

@@ -87,119 +87,71 @@ DataMsg Edge::MoveToNode(DataMsg msg, sim::MemNodeId target_node,
   // message degrades to an error marker on the failure path below.
   Status fail = Status::OK();
 
+  // One hop: a fresh block on `dst_node` and an async DMA of `src` into it
+  // over `link`. Sets `fail` (and returns an invalid handle) on failure.
+  auto copy_over_link = [&](const memory::BlockHandle& src,
+                            sim::MemNodeId dst_node, int link,
+                            sim::VTime earliest, sim::TransferTicket* ticket) {
+    memory::BlockHandle moved;
+    Status acquire_error = Status::OK();
+    memory::Block* dst = system_->blocks().Acquire(
+        dst_node, producer_node, &acquire_error,
+        options_.control != nullptr ? &options_.control->cancelled : nullptr);
+    if (dst == nullptr) {
+      fail = std::move(acquire_error);
+      return moved;
+    }
+    HETEX_CHECK(dst->capacity >= src.bytes) << "staging block too small";
+    if (sim::FaultInjector& inj = system_->fault(); inj.enabled()) {
+      // Fault check precedes the DMA reservation: a failed transfer strands
+      // nothing on the shared link timeline.
+      Status st = inj.OnDmaTransfer(link);
+      if (!st.ok()) {
+        system_->blocks().Release(dst, producer_node);
+        fail = std::move(st);
+        return moved;
+      }
+    }
+    *ticket = system_->dma().Transfer(src.data(), dst->data, src.bytes, link,
+                                      earliest, !src.block->pinned,
+                                      options_.epoch);
+    moved.block = dst;
+    moved.bytes = src.bytes;
+    moved.rows = src.rows;
+    moved.ready_at = ticket->ready_at();
+    return moved;
+  };
+
+  const sim::DeviceId target_dev = topo.mem_node(target_node).owner;
   for (auto& h : msg.cols) {
     if (!fail.ok()) break;
-    if (h.node() == target_node) {
-      // Already local: forward the handle, no transfer (paper §3.2).
+    if (!NeedsMove(topo, target_dev, h.node())) {
+      // Already addressable: forward the handle, no transfer (paper §3.2).
       if (h.block->owner != nullptr) memory::BlockManager::AddRef(h.block);
       out.cols.push_back(h);
       continue;
     }
-    const bool src_gpu = topo.mem_node(h.node()).is_gpu;
-    const bool dst_gpu = topo.mem_node(target_node).is_gpu;
-
-    auto copy_over_link = [&](const memory::BlockHandle& src,
-                              sim::MemNodeId dst_node, int link,
-                              sim::VTime earliest) {
-      memory::BlockHandle moved;
-      Status acquire_error = Status::OK();
-      memory::Block* dst = system_->blocks().Acquire(
-          dst_node, producer_node, &acquire_error,
-          options_.control != nullptr ? &options_.control->cancelled : nullptr);
-      if (dst == nullptr) {
-        fail = std::move(acquire_error);
-        return std::make_pair(moved, sim::TransferTicket{});
+    // Walk the route hop by hop. An intermediate hop lands in a staging block
+    // the next hop reads; the consumer releases it once the transfers are done.
+    memory::BlockHandle cur = h;
+    sim::TransferTicket ticket;
+    sim::VTime earliest = msg.ready_at;
+    for (const sim::Hop& hop : topo.Route(h.node(), target_node)) {
+      const bool staged = cur.block != h.block;
+      if (staged) ticket.Wait();  // functional ordering: this hop reads it
+      memory::BlockHandle moved =
+          copy_over_link(cur, hop.node, hop.link, earliest, &ticket);
+      if (!fail.ok()) {
+        if (staged) system_->blocks().Release(cur.block, producer_node);
+        break;
       }
-      HETEX_CHECK(dst->capacity >= src.bytes) << "staging block too small";
-      if (sim::FaultInjector& inj = system_->fault(); inj.enabled()) {
-        // Fault check precedes the DMA reservation: a failed transfer strands
-        // nothing on the shared link timeline.
-        Status st = inj.OnDmaTransfer(link);
-        if (!st.ok()) {
-          system_->blocks().Release(dst, producer_node);
-          fail = std::move(st);
-          return std::make_pair(moved, sim::TransferTicket{});
-        }
-      }
-      sim::TransferTicket ticket =
-          system_->dma().Transfer(src.data(), dst->data, src.bytes, link,
-                                  earliest, !src.block->pinned, options_.epoch);
-      moved.block = dst;
-      moved.bytes = src.bytes;
-      moved.rows = src.rows;
-      moved.ready_at = ticket.ready_at();
-      return std::make_pair(moved, ticket);
-    };
-
-    if (!src_gpu && dst_gpu) {
-      const int gpu = topo.mem_node(target_node).owner.index;
-      auto [moved, ticket] =
-          copy_over_link(h, target_node, topo.PcieLinkOf(gpu), msg.ready_at);
-      if (!fail.ok()) break;
-      out.cols.push_back(moved);
-      out.tickets.push_back(ticket);
-    } else if (src_gpu && !dst_gpu) {
-      const int gpu = topo.mem_node(h.node()).owner.index;
-      auto [moved, ticket] =
-          copy_over_link(h, target_node, topo.PcieLinkOf(gpu), msg.ready_at);
-      if (!fail.ok()) break;
-      out.cols.push_back(moved);
-      out.tickets.push_back(ticket);
-    } else if (src_gpu && dst_gpu) {
-      const int src_gpu_id = topo.mem_node(h.node()).owner.index;
-      const int dst_gpu_id = topo.mem_node(target_node).owner.index;
-      const int peer = topo.PeerLinkOf(src_gpu_id, dst_gpu_id);
-      if (peer >= 0) {
-        // Direct NVLink-class hop: one reservation on the peer link, no host
-        // staging and no pageable penalty (both endpoints are device memory).
-        Status acquire_error = Status::OK();
-        memory::Block* dst = system_->blocks().Acquire(
-            target_node, producer_node, &acquire_error,
-            options_.control != nullptr ? &options_.control->cancelled : nullptr);
-        if (dst == nullptr) {
-          fail = std::move(acquire_error);
-          break;
-        }
-        HETEX_CHECK(dst->capacity >= h.bytes) << "staging block too small";
-        if (sim::FaultInjector& inj = system_->fault(); inj.enabled()) {
-          // Peer links share the DMA fault plane, namespaced past the PCIe ids.
-          Status st = inj.OnDmaTransfer(topo.num_pcie_links() + peer);
-          if (!st.ok()) {
-            system_->blocks().Release(dst, producer_node);
-            fail = std::move(st);
-            break;
-          }
-        }
-        sim::TransferTicket ticket = system_->dma().TransferPeer(
-            h.data(), dst->data, h.bytes, peer, msg.ready_at, options_.epoch);
-        memory::BlockHandle moved;
-        moved.block = dst;
-        moved.bytes = h.bytes;
-        moved.rows = h.rows;
-        moved.ready_at = ticket.ready_at();
-        out.cols.push_back(moved);
-        out.tickets.push_back(ticket);
-      } else {
-        // No peer link between this pair: stage through the source GPU's host
-        // socket over two PCIe hops.
-        const sim::MemNodeId host = topo.socket(topo.gpu(src_gpu_id).socket).mem;
-        auto [staged, t1] =
-            copy_over_link(h, host, topo.PcieLinkOf(src_gpu_id), msg.ready_at);
-        if (!fail.ok()) break;
-        t1.Wait();  // functional ordering: hop 2 reads the staging buffer
-        auto [moved, t2] = copy_over_link(
-            staged, target_node, topo.PcieLinkOf(dst_gpu_id), t1.ready_at());
-        if (!fail.ok()) {
-          system_->blocks().Release(staged.block, producer_node);
-          break;
-        }
-        out.cols.push_back(moved);
-        out.tickets.push_back(t2);
-        out.release_after_wait.push_back(staged.block);
-      }
-    } else {
-      HETEX_CHECK(false) << "host-to-host moves need no mem-move on this server";
+      if (staged) out.release_after_wait.push_back(cur.block);
+      cur = moved;
+      earliest = ticket.ready_at();
     }
+    if (!fail.ok()) break;
+    out.cols.push_back(cur);
+    out.tickets.push_back(ticket);
     if (h.block->owner != nullptr) {
       // The DMA still reads the source: hand a reference to the consumer to
       // release once the transfer completed.
@@ -247,18 +199,21 @@ void Edge::DeliverTo(WorkerInstance* target, DataMsg msg,
   }
   // Cross-socket column reads: a CPU consumer pulling blocks out of another
   // socket's DRAM crosses the inter-socket link (when the topology models
-  // one). Charged per delivered block on the shared epoch-anchored timeline,
-  // so concurrent sessions queue behind each other on the QPI/UPI hop too.
-  if (msg.error.ok() && target->device().is_cpu() &&
-      system_->topology().has_inter_socket_link()) {
-    const int target_socket = target->device().index;
+  // one, the route names it). Charged once per delivered block on the shared
+  // epoch-anchored timeline, so concurrent sessions queue behind each other
+  // on the QPI/UPI hop too.
+  if (msg.error.ok() && target->device().is_cpu()) {
+    const sim::MemNodeId here = target->node();
+    int link = -1;
     uint64_t cross_bytes = 0;
     for (const auto& h : msg.cols) {
-      const sim::Topology::MemNode& mn = topo.mem_node(h.node());
-      if (!mn.is_gpu && mn.owner.index != target_socket) cross_bytes += h.bytes;
+      for (const sim::Hop& hop : topo.Route(h.node(), here)) {
+        link = hop.link;
+        cross_bytes += h.bytes;
+      }
     }
     if (cross_bytes > 0) {
-      const auto window = system_->topology().inter_socket_link().Reserve(
+      const auto window = system_->topology().link(link).server.Reserve(
           cross_bytes, msg.ready_at, options_.epoch);
       msg.ready_at = sim::MaxT(msg.ready_at, window.end);
     }

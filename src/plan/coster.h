@@ -54,10 +54,10 @@ struct CostEstimate {
 /// The coster prices the stages of PartitionSpans — the same stage objects
 /// GraphBuilder lowers — under the runtime's accounting: per-block work
 /// converted via CostModel::WorkCost under the fluid bandwidth-share model,
-/// per-block fixed
-/// costs (kernel launches, DMA setup, router control), serialized PCIe
-/// transfers, and policy-dependent block distribution (round-robin assigns
-/// blocks by rotation; load-balance greedily to the least-loaded instance —
+/// per-block fixed costs (kernel launches, DMA setup, router control),
+/// serialized link transfers along Topology::Route, and policy-dependent block
+/// distribution (round-robin assigns blocks by rotation; load-balance
+/// greedily to the least-loaded instance —
 /// the virtual-time analogue of the runtime's backlog balancing). It is an
 /// estimate, not a simulation: cardinalities come from CardinalityEstimate,
 /// not from execution.
@@ -68,23 +68,13 @@ struct CosterOptions {
   /// default only matches a system built with default 1 MiB blocks.
   uint64_t pack_block_rows = (1ull << 20) / 8;
 
-  /// Per-PCIe-link backlog: virtual seconds of work other in-flight queries
-  /// already have queued on each link at this session's arrival (index =
-  /// Topology::PcieLinkOf). The scheduler's load signal — candidate plans that
-  /// lean on a congested link are charged the queueing delay (DMA mem-moves
-  /// and UVA kernel streams alike). Empty = idle server (the
-  /// solo-optimization default).
+  /// Per-link backlog: virtual seconds of work other in-flight queries
+  /// already have queued on each interconnect link at this session's arrival
+  /// (index = Topology link id). The scheduler's load signal — candidate plans
+  /// that lean on a congested link are charged the queueing delay (DMA
+  /// mem-moves, UVA kernel streams and cross-socket reads alike). Empty = idle
+  /// server (the solo-optimization default).
   std::vector<double> link_backlog;
-
-  /// Per-GPU-peer-link backlog (index = Topology::peer_link id): virtual
-  /// seconds of work other in-flight queries already queued on each
-  /// NVLink-class link at this session's arrival. Same semantics as
-  /// link_backlog; empty = idle fabric.
-  std::vector<double> peer_link_backlog;
-
-  /// Inter-socket (UPI/QPI) link backlog in virtual seconds at this session's
-  /// arrival. 0 = idle (or no inter-socket link modeled).
-  double inter_socket_backlog = 0;
 
   /// Per-socket CPU contention: workers whose execution-phase intervals
   /// overlap the candidate's epoch on each socket's DRAM timeline (index =
@@ -103,6 +93,18 @@ struct CosterOptions {
   std::optional<std::vector<int>> available_gpus;
 };
 
+/// Uncontended virtual time one block of `bytes` (in `cols` column copies)
+/// takes from memory node `src` to `dst` along Topology::Route — the price the
+/// coster charges every routed source fraction. DMA hops pay one setup per
+/// column (the mem-move copies column by column); the inter-socket link pays
+/// one per delivered block. Only the first hop reads the source block itself,
+/// so only it can pay the pageable rate (`pageable`: an unpinned source
+/// table); later hops read a pinned staging copy. `last_link` receives the
+/// route's last hop, -1 when the route is empty.
+sim::VTime RouteSeconds(const sim::Topology& topo, sim::MemNodeId src,
+                        sim::MemNodeId dst, double bytes, uint64_t cols,
+                        bool pageable, int* last_link = nullptr);
+
 class PlanCoster {
  public:
   using Options = CosterOptions;
@@ -113,16 +115,6 @@ class PlanCoster {
   /// Estimates the virtual-time cost of `plan`. Fails (instead of guessing)
   /// with PartitionSpans' Status on DAG shapes the lowering would reject.
   Result<CostEstimate> Cost(const HetPlan& plan) const;
-
-  /// Uncontended virtual-time estimate of moving one `bytes`-sized block (in
-  /// `cols` column transfers) from `src_gpu`'s memory into `dst_gpu`'s,
-  /// mirroring Edge::MoveToNode's routing exactly: a single hop on the peer
-  /// link when the fabric has one, two staged PCIe hops through host memory
-  /// when it does not. The constants are the same ones DmaEngine charges, so
-  /// estimated and measured route ordering agree.
-  static sim::VTime EstimateGpuToGpuTransfer(const sim::Topology& topo,
-                                             int src_gpu, int dst_gpu,
-                                             uint64_t bytes, uint64_t cols = 1);
 
   const CardinalityEstimate& cards() const { return cards_; }
 

@@ -24,13 +24,12 @@ Topology::Topology(const Options& options) : options_(options) {
     MemNodeId node = static_cast<MemNodeId>(mem_nodes_.size());
     mem_nodes_.push_back(
         MemNode{node, /*is_gpu=*/true, options.gpu_capacity, DeviceId::Gpu(g)});
-    int link = static_cast<int>(pcie_links_.size());
-    pcie_links_.push_back(
-        std::make_unique<BandwidthServer>(cm.pcie_bw, cm.dma_latency));
     // GPUs are distributed round-robin over sockets: one per socket on the paper
     // server (dedicated PCIe 3.0 x16 per GPU).
-    gpus_.push_back(GpuInfo{g, node, g % options.num_sockets, link,
-                            options.gpu_sim_threads});
+    const int socket = g % options.num_sockets;
+    gpus_.push_back(GpuInfo{g, node, socket, num_links(), options.gpu_sim_threads});
+    links_.push_back(std::make_unique<Link>(LinkKind::kPcie, g, socket, cm.pcie_bw,
+                                            cm.dma_latency));
   }
 
   const double peer_bw = options.peer_bw > 0 ? options.peer_bw : cm.nvlink_bw;
@@ -39,15 +38,15 @@ Topology::Topology(const Options& options) : options_(options) {
         << "bad peer link gpu" << a << "<->gpu" << b;
     HETEX_CHECK(PeerLinkOf(a, b) < 0)
         << "duplicate peer link gpu" << a << "<->gpu" << b;
-    int link = static_cast<int>(peer_links_.size());
-    peer_links_.push_back(PeerLink{link, a, b});
-    peer_link_servers_.push_back(
-        std::make_unique<BandwidthServer>(peer_bw, cm.peer_dma_latency));
+    links_.push_back(std::make_unique<Link>(LinkKind::kPeer, a, b, peer_bw,
+                                            cm.peer_dma_latency));
   }
 
   if (options.inter_socket_bw > 0 && options.num_sockets > 1) {
-    inter_socket_link_ = std::make_unique<BandwidthServer>(
-        options.inter_socket_bw, cm.inter_socket_latency);
+    inter_socket_link_ = num_links();
+    links_.push_back(std::make_unique<Link>(LinkKind::kInterSocket, -1, -1,
+                                            options.inter_socket_bw,
+                                            cm.inter_socket_latency));
   }
 }
 
@@ -63,13 +62,39 @@ Topology::Options Topology::ScaleOutOptions(int num_gpus, int num_sockets) {
 }
 
 int Topology::PeerLinkOf(int gpu_a, int gpu_b) const {
-  for (const auto& p : peer_links_) {
-    if ((p.gpu_a == gpu_a && p.gpu_b == gpu_b) ||
-        (p.gpu_a == gpu_b && p.gpu_b == gpu_a)) {
-      return p.id;
+  for (int l = num_gpus(); l < num_links(); ++l) {
+    const Link& p = *links_[l];
+    if (p.kind == LinkKind::kPeer &&
+        ((p.a == gpu_a && p.b == gpu_b) || (p.a == gpu_b && p.b == gpu_a))) {
+      return l;
     }
   }
   return -1;
+}
+
+Hops Topology::Route(MemNodeId src, MemNodeId dst) const {
+  Hops route;
+  auto add = [&](int link, MemNodeId node) {
+    route.hops[route.size++] = Hop{link, node};
+  };
+  if (src == dst) return route;
+  const MemNode& s = mem_node(src);
+  const MemNode& d = mem_node(dst);
+  if (s.is_gpu && d.is_gpu) {
+    const int peer = PeerLinkOf(s.owner.index, d.owner.index);
+    if (peer >= 0) {
+      add(peer, dst);
+    } else {
+      const GpuInfo& from = gpus_[s.owner.index];
+      add(from.pcie_link, sockets_[from.socket].mem);
+      add(PcieLinkOf(d.owner.index), dst);
+    }
+  } else if (s.is_gpu || d.is_gpu) {
+    add(PcieLinkOf((s.is_gpu ? s : d).owner.index), dst);
+  } else if (inter_socket_link_ >= 0) {
+    add(inter_socket_link_, dst);
+  }
+  return route;
 }
 
 MemAccess Topology::CanAccess(DeviceId dev, MemNodeId node) const {
@@ -91,9 +116,7 @@ std::string Topology::Describe(VTime epoch) const {
   const bool live = epoch >= 0;
   std::ostringstream os;
   os << "Topology: " << num_sockets() << " socket(s) x " << options_.cores_per_socket
-     << " cores, " << num_gpus() << " GPU(s)";
-  if (num_peer_links() > 0) os << ", " << num_peer_links() << " peer link(s)";
-  os << "\n";
+     << " cores, " << num_gpus() << " GPU(s), " << num_links() << " link(s)\n";
   for (const auto& s : sockets_) {
     os << "  socket" << s.id << ": mem node " << s.mem << " ("
        << (mem_nodes_[s.mem].capacity >> 20) << " MiB modeled, "
@@ -107,29 +130,25 @@ std::string Topology::Describe(VTime epoch) const {
     os << "  gpu" << g.id << ": mem node " << g.mem << " ("
        << (mem_nodes_[g.mem].capacity >> 20) << " MiB modeled, "
        << cost_model().gpu_mem_bw / 1e9 << " GB/s), PCIe link " << g.pcie_link
-       << " -> socket" << g.socket << " ("
-       << pcie_links_[g.pcie_link]->rate() / 1e9 << " GB/s)";
-    if (live) {
-      os << " backlog "
-         << MaxT(0.0, pcie_links_[g.pcie_link]->free_at() - epoch) * 1e3 << " ms";
-    }
-    os << "\n";
+       << " -> socket" << g.socket << "\n";
   }
-  for (const auto& p : peer_links_) {
-    os << "  peer link " << p.id << ": gpu" << p.gpu_a << " <-> gpu" << p.gpu_b
-       << " (NVLink-class, " << peer_link_servers_[p.id]->rate() / 1e9 << " GB/s)";
-    if (live) {
-      os << " backlog "
-         << MaxT(0.0, peer_link_servers_[p.id]->free_at() - epoch) * 1e3 << " ms";
+  for (int l = 0; l < num_links(); ++l) {
+    const Link& link = *links_[l];
+    os << "  link " << l << ": ";
+    switch (link.kind) {
+      case LinkKind::kPcie:
+        os << "PCIe gpu" << link.a << " <-> socket" << link.b;
+        break;
+      case LinkKind::kPeer:
+        os << "peer gpu" << link.a << " <-> gpu" << link.b << ", NVLink-class";
+        break;
+      case LinkKind::kInterSocket:
+        os << "inter-socket, " << num_sockets() << " socket(s)";
+        break;
     }
-    os << "\n";
-  }
-  if (inter_socket_link_) {
-    os << "  inter-socket link: " << num_sockets() << " socket(s) ("
-       << inter_socket_link_->rate() / 1e9 << " GB/s)";
+    os << " (" << link.server.rate() / 1e9 << " GB/s)";
     if (live) {
-      os << " backlog "
-         << MaxT(0.0, inter_socket_link_->free_at() - epoch) * 1e3 << " ms";
+      os << " backlog " << MaxT(0.0, link.server.free_at() - epoch) * 1e3 << " ms";
     }
     os << "\n";
   }

@@ -44,6 +44,24 @@ struct DeviceId {
 using MemNodeId = int;
 inline constexpr MemNodeId kInvalidMemNode = -1;
 
+/// Kind of interconnect link (see Topology::Link).
+enum class LinkKind { kPcie, kPeer, kInterSocket };
+
+/// One step of a route: the link a block crosses and the node it lands on.
+struct Hop {
+  int link;
+  MemNodeId node;
+};
+
+/// The hops of one route (at most two: a staged GPU<->GPU move).
+struct Hops {
+  Hop hops[2];
+  int size = 0;
+
+  const Hop* begin() const { return hops; }
+  const Hop* end() const { return hops + size; }
+};
+
 /// How a device can reach a memory node.
 enum class MemAccess {
   kNone,        ///< not addressable (e.g. host code touching GPU memory)
@@ -54,9 +72,9 @@ enum class MemAccess {
 /// \brief Static + dynamic description of the simulated heterogeneous server.
 ///
 /// Owns the virtual-time bandwidth resources: one cross-session DramServer per
-/// socket DRAM and one BandwidthServer per PCIe link. Capacities are modeled
-/// numbers (used for fits-in-GPU-memory decisions); physical allocation is on
-/// demand and much smaller.
+/// socket DRAM and one BandwidthServer per interconnect link. Capacities are
+/// modeled numbers (used for fits-in-GPU-memory decisions); physical allocation
+/// is on demand and much smaller.
 class Topology {
  public:
   struct Options {
@@ -100,14 +118,23 @@ class Topology {
     int id;
     MemNodeId mem;
     int socket;      ///< socket whose PCIe root it hangs off
-    int pcie_link;   ///< index into pcie_links()
+    int pcie_link;   ///< id of its PCIe link in the link table
     int sim_threads;
   };
 
-  struct PeerLink {
-    int id;          ///< index into peer_link()
-    int gpu_a;
-    int gpu_b;
+  /// \brief One interconnect link: a serially-shared virtual-time resource.
+  ///
+  /// Every link lives in one table with one id space — PCIe links in GPU
+  /// order, then peer links in Options::peer_links order, then the
+  /// inter-socket link — which is also the DMA fault plane's numbering.
+  struct Link {
+    Link(LinkKind kind, int a, int b, double rate, double latency)
+        : kind(kind), a(a), b(b), server(rate, latency) {}
+
+    LinkKind kind;
+    int a;  ///< kPcie: the GPU; kPeer: one GPU; kInterSocket: -1
+    int b;  ///< kPcie: the GPU's socket; kPeer: the other GPU; kInterSocket: -1
+    BandwidthServer server;
   };
 
   explicit Topology(const Options& options);
@@ -147,20 +174,33 @@ class Topology {
   /// GPU<->GPU move must stage through host memory over two PCIe hops.
   int PeerLinkOf(int gpu_a, int gpu_b) const;
 
-  /// Virtual-time resources.
-  BandwidthServer& pcie_link(int link) { return *pcie_links_.at(link); }
-  const BandwidthServer& pcie_link(int link) const { return *pcie_links_.at(link); }
-  int num_pcie_links() const { return static_cast<int>(pcie_links_.size()); }
-  BandwidthServer& peer_link(int link) { return *peer_link_servers_.at(link); }
-  const BandwidthServer& peer_link(int link) const {
-    return *peer_link_servers_.at(link);
+  /// The hops a block takes from memory node `src` to `dst` — the one
+  /// statement of the routing policy, shared by the mem-move and the coster:
+  ///   - host <-> GPU: one hop on that GPU's PCIe link;
+  ///   - GPU -> GPU: the peer link when the fabric has one, else two PCIe
+  ///     hops staged through the source GPU's socket memory;
+  ///   - host -> another socket's host: the inter-socket link when modeled;
+  ///   - same node (or an unmodeled inter-socket link): no hops.
+  Hops Route(MemNodeId src, MemNodeId dst) const;
+
+  /// Seconds `bytes` occupy link `id` on top of its per-transfer setup
+  /// latency. A PCIe transfer out of pageable (unpinned) host memory runs at
+  /// the pageable DMA rate; every other transfer at the link's own rate.
+  double TransferSeconds(int id, double bytes, bool pageable) const {
+    const Link& l = link(id);
+    return bytes / (pageable && l.kind == LinkKind::kPcie
+                        ? cost_model().pcie_pageable_bw
+                        : l.server.rate());
   }
-  int num_peer_links() const { return static_cast<int>(peer_link_servers_.size()); }
-  const PeerLink& peer_link_info(int link) const { return peer_links_.at(link); }
-  /// The inter-socket link exists only when Options::inter_socket_bw > 0.
-  bool has_inter_socket_link() const { return inter_socket_link_ != nullptr; }
-  BandwidthServer& inter_socket_link() { return *inter_socket_link_; }
-  const BandwidthServer& inter_socket_link() const { return *inter_socket_link_; }
+
+  /// The link table (see Link).
+  int num_links() const { return static_cast<int>(links_.size()); }
+  Link& link(int id) { return *links_.at(id); }
+  const Link& link(int id) const { return *links_.at(id); }
+  /// PCIe links are the first num_gpus() entries of the table.
+  int num_pcie_links() const { return num_gpus(); }
+  BandwidthServer& pcie_link(int l) { return link(l).server; }
+  const BandwidthServer& pcie_link(int l) const { return link(l).server; }
   DramServer& socket_dram(int socket) { return *socket_dram_.at(socket); }
   const DramServer& socket_dram(int socket) const { return *socket_dram_.at(socket); }
 
@@ -170,9 +210,7 @@ class Topology {
   /// rewind-all-clocks reset, safe with other queries still in flight.
   VTime LinkHorizon() const {
     VTime h = 0;
-    for (const auto& link : pcie_links_) h = MaxT(h, link->free_at());
-    for (const auto& link : peer_link_servers_) h = MaxT(h, link->free_at());
-    if (inter_socket_link_) h = MaxT(h, inter_socket_link_->free_at());
+    for (const auto& l : links_) h = MaxT(h, l->server.free_at());
     return h;
   }
 
@@ -211,10 +249,8 @@ class Topology {
   std::vector<Socket> sockets_;
   std::vector<GpuInfo> gpus_;
   std::vector<MemNode> mem_nodes_;
-  std::vector<PeerLink> peer_links_;
-  std::vector<std::unique_ptr<BandwidthServer>> pcie_links_;
-  std::vector<std::unique_ptr<BandwidthServer>> peer_link_servers_;
-  std::unique_ptr<BandwidthServer> inter_socket_link_;
+  std::vector<std::unique_ptr<Link>> links_;
+  int inter_socket_link_ = -1;  ///< link id, -1 when not modeled
   std::vector<std::unique_ptr<DramServer>> socket_dram_;
 };
 

@@ -162,22 +162,6 @@ TEST(BandwidthServer, ProbeThenAnchoredReserveSurvivesRacingSessions) {
   EXPECT_GE(server.free_at(), kDur);
 }
 
-TEST(BandwidthServer, ConcurrentSetRateAndReserve) {
-  // rate_ is read by Reserve/ReserveBytes while set_rate writes it (fault
-  // plane degrading a link mid-flight). Must be TSan-clean.
-  BandwidthServer server(1e9);
-  std::thread writer([&] {
-    for (int i = 1; i <= 1000; ++i) server.set_rate(1e9 + i);
-  });
-  std::thread reader([&] {
-    for (int i = 0; i < 1000; ++i) server.Reserve(1000, 0.0);
-  });
-  writer.join();
-  reader.join();
-  EXPECT_GT(server.free_at(), 0.0);
-  EXPECT_GE(server.rate(), 1e9);
-}
-
 TEST(DramServer, PerWorkerCapUntilSaturation) {
   DramServer dram(45e9, 6e9);
   EXPECT_DOUBLE_EQ(dram.EffectiveRate(), 6e9);  // idle: full per-core rate

@@ -6,12 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/logging.h"
 #include "core/executor.h"
+#include "core/runtime.h"
 #include "core/system.h"
 #include "plan/coster.h"
 #include "plan/het_plan.h"
@@ -24,7 +28,10 @@ namespace {
 
 class PeerLinkTest : public ::testing::Test {
  protected:
-  PeerLinkTest() : topo_(Topology::ScaleOutOptions(2)), dma_(&topo_) {}
+  PeerLinkTest()
+      : topo_(Topology::ScaleOutOptions(2)),
+        dma_(&topo_),
+        peer_(topo_.PeerLinkOf(0, 1)) {}
 
   double OneTransfer(uint64_t bytes) const {
     const CostModel& cm = topo_.cost_model();
@@ -33,13 +40,16 @@ class PeerLinkTest : public ::testing::Test {
 
   Topology topo_;
   DmaEngine dma_;
+  const int peer_;  ///< link id of the one peer link
 };
 
 TEST_F(PeerLinkTest, FabricHasOnePeerLinkBetweenTheGpus) {
   ASSERT_EQ(topo_.num_gpus(), 2);
-  ASSERT_EQ(topo_.num_peer_links(), 1);
-  EXPECT_EQ(topo_.PeerLinkOf(0, 1), 0);
-  EXPECT_EQ(topo_.PeerLinkOf(1, 0), 0);  // undirected
+  // Link table: two PCIe links, the peer link, the inter-socket link.
+  ASSERT_EQ(topo_.num_links(), 4);
+  EXPECT_EQ(topo_.link(2).kind, LinkKind::kPeer);
+  EXPECT_EQ(topo_.PeerLinkOf(0, 1), 2);
+  EXPECT_EQ(topo_.PeerLinkOf(1, 0), 2);  // undirected
   EXPECT_EQ(topo_.PeerLinkOf(0, 0), -1);
 }
 
@@ -48,7 +58,7 @@ TEST_F(PeerLinkTest, FunctionalCopy) {
   std::iota(src.begin(), src.end(), 0);
   std::vector<uint8_t> dst(4096, 0);
   TransferTicket t =
-      dma_.TransferPeer(src.data(), dst.data(), src.size(), 0, 0.0);
+      dma_.Transfer(src.data(), dst.data(), src.size(), peer_, 0.0);
   t.Wait();
   EXPECT_EQ(std::memcmp(src.data(), dst.data(), src.size()), 0);
 }
@@ -56,7 +66,7 @@ TEST_F(PeerLinkTest, FunctionalCopy) {
 TEST_F(PeerLinkTest, ModeledTimeMatchesNvlinkRate) {
   std::vector<uint8_t> buf(1 << 20), dst(1 << 20);
   TransferTicket t =
-      dma_.TransferPeer(buf.data(), dst.data(), buf.size(), 0, 0.0);
+      dma_.Transfer(buf.data(), dst.data(), buf.size(), peer_, 0.0);
   EXPECT_NEAR(t.ready_at(), OneTransfer(1 << 20), 1e-12);
   t.Wait();
 }
@@ -67,9 +77,9 @@ TEST_F(PeerLinkTest, TwoSessionsQueueFifoOnOneLink) {
   // whichever reserves second queues behind the first, FIFO, and each sees
   // session-local completion times.
   TransferTicket a =
-      dma_.TransferPeer(buf.data(), dst.data(), buf.size(), 0, 0.0, 0.0);
+      dma_.Transfer(buf.data(), dst.data(), buf.size(), peer_, 0.0, false, 0.0);
   TransferTicket b =
-      dma_.TransferPeer(buf.data(), dst.data(), buf.size(), 0, 0.0, 0.0);
+      dma_.Transfer(buf.data(), dst.data(), buf.size(), peer_, 0.0, false, 0.0);
   const double one = OneTransfer(1 << 20);
   EXPECT_NEAR(a.ready_at(), one, 1e-12);
   EXPECT_NEAR(b.ready_at(), 2 * one, 1e-12);
@@ -80,8 +90,8 @@ TEST_F(PeerLinkTest, TwoSessionsQueueFifoOnOneLink) {
 TEST_F(PeerLinkTest, ContentionNeverSpeedsUpATransfer) {
   std::vector<uint8_t> buf(1 << 20), dst(1 << 20);
   // Solo reference on a fresh session anchored at the link horizon.
-  TransferTicket solo = dma_.TransferPeer(buf.data(), dst.data(), buf.size(),
-                                          0, 0.0, topo_.LinkHorizon());
+  TransferTicket solo = dma_.Transfer(buf.data(), dst.data(), buf.size(),
+                                      peer_, 0.0, false, topo_.LinkHorizon());
   const double solo_t = solo.ready_at();
   solo.Wait();
   // Four same-epoch sessions contend for the link: completion order is the
@@ -91,7 +101,7 @@ TEST_F(PeerLinkTest, ContentionNeverSpeedsUpATransfer) {
   std::vector<TransferTicket> tickets;
   for (int i = 0; i < 4; ++i) {
     tickets.push_back(
-        dma_.TransferPeer(buf.data(), dst.data(), buf.size(), 0, 0.0, epoch));
+        dma_.Transfer(buf.data(), dst.data(), buf.size(), peer_, 0.0, false, epoch));
   }
   double prev = 0;
   for (size_t i = 0; i < tickets.size(); ++i) {
@@ -105,12 +115,12 @@ TEST_F(PeerLinkTest, ContentionNeverSpeedsUpATransfer) {
 
 TEST_F(PeerLinkTest, PeerBacklogRaisesLinkHorizon) {
   const VTime before = topo_.LinkHorizon();
-  const auto w = topo_.peer_link(0).Reserve(64 << 20, 0.0);
+  const auto w = topo_.link(peer_).server.Reserve(64 << 20, 0.0);
   EXPECT_GT(topo_.LinkHorizon(), before);
   EXPECT_DOUBLE_EQ(topo_.LinkHorizon(), w.end);
   // A session anchored at the horizon sees the peer link idle again.
   const auto fresh =
-      topo_.peer_link(0).Reserve(1 << 20, 0.0, topo_.LinkHorizon());
+      topo_.link(peer_).server.Reserve(1 << 20, 0.0, topo_.LinkHorizon());
   EXPECT_DOUBLE_EQ(fresh.start, 0.0);
 }
 
@@ -202,15 +212,104 @@ TEST(PeerRouteE2ETest, StaticRouteEstimatePrefersPeerHop) {
   no_mesh.peer_links.clear();
   const sim::Topology staged(no_mesh);
   const uint64_t bytes = 1 << 20;
-  const sim::VTime peer_t =
-      plan::PlanCoster::EstimateGpuToGpuTransfer(meshed, 0, 3, bytes, 4);
-  const sim::VTime staged_t =
-      plan::PlanCoster::EstimateGpuToGpuTransfer(staged, 0, 3, bytes, 4);
+  const sim::VTime peer_t = plan::RouteSeconds(
+      meshed, meshed.gpu(0).mem, meshed.gpu(3).mem, bytes, 4, false);
+  const sim::VTime staged_t = plan::RouteSeconds(
+      staged, staged.gpu(0).mem, staged.gpu(3).mem, bytes, 4, false);
   EXPECT_LT(peer_t, staged_t);
   const auto& cm = meshed.cost_model();
   EXPECT_NEAR(peer_t, 4 * cm.peer_dma_latency + bytes / cm.nvlink_bw, 1e-12);
   EXPECT_NEAR(staged_t, 2 * (4 * cm.dma_latency) + 2 * (bytes / cm.pcie_bw),
               1e-12);
+}
+
+/// The mem-move and the coster share one route: for every ordered pair of
+/// memory nodes on the 4-GPU scale-out fabric, with and without its peer mesh,
+/// from pinned and unpinned sources, one k-column block pushed through a
+/// mem-move Edge to a consumer on the target node's device over idle links
+/// is delivered exactly when plan::RouteSeconds prices it.
+TEST(RouteParityTest, MemMoveDeliveryMatchesCosterRoutePrice) {
+  for (const bool with_peer_mesh : {true, false}) {
+    core::System::Options opts;
+    opts.topology = sim::Topology::ScaleOutOptions(4);
+    if (!with_peer_mesh) opts.topology.peer_links.clear();
+    opts.topology.cores_per_socket = 1;
+    opts.topology.gpu_sim_threads = 1;
+    opts.topology.host_capacity_per_socket = 1ull << 30;
+    opts.topology.gpu_capacity = 1ull << 30;
+    opts.blocks.block_bytes = 64 << 10;
+    opts.blocks.host_arena_blocks = 16;
+    opts.blocks.gpu_arena_blocks = 16;
+    core::System system(opts);
+    sim::Topology& topo = system.topology();
+
+    for (const uint64_t k : {1, 3}) {
+      // Columns of unequal sizes, each its own DMA per hop.
+      std::vector<std::vector<std::byte>> data;
+      uint64_t block_bytes = 0;
+      for (uint64_t c = 0; c < k; ++c) {
+        data.emplace_back((20 + 7 * c) << 10);
+        block_bytes += data.back().size();
+      }
+      for (sim::MemNodeId src = 0; src < topo.num_mem_nodes(); ++src) {
+        for (sim::MemNodeId dst = 0; dst < topo.num_mem_nodes(); ++dst) {
+          for (const bool pinned : {true, false}) {
+            // Table-resident source blocks, as the segmenter hands them out.
+            std::deque<memory::Block> blocks;
+            core::DataMsg msg;
+            msg.rows = 100;
+            for (auto& col : data) {
+              memory::Block& b = blocks.emplace_back();
+              b.data = col.data();
+              b.capacity = col.size();
+              b.node = src;
+              b.pinned = pinned;
+              msg.cols.push_back({&b, col.size(), msg.rows, 0.0});
+            }
+            const sim::VTime epoch = topo.LinkHorizon();
+            const sim::DeviceId target = topo.mem_node(dst).owner;
+            core::WorkerInstance consumer(0, target, &system, 4, epoch);
+            core::Edge::Options eo;
+            eo.policy = core::Edge::Policy::kRoundRobin;
+            eo.control_cost = 0;
+            eo.epoch = epoch;
+            core::Edge edge(&system, eo, {&consumer});
+            edge.Push(std::move(msg), src);
+            std::optional<core::DataMsg> got = consumer.channel().TryPop();
+            ASSERT_TRUE(got.has_value());
+            ASSERT_TRUE(got->error.ok()) << got->error.ToString();
+            for (const auto& ticket : got->tickets) ticket.Wait();
+            for (memory::Block* b : got->release_after_wait) {
+              if (b->owner != nullptr) system.blocks().Release(b, dst);
+            }
+            got->release_after_wait.clear();
+            const sim::VTime delivered = got->ReadyAt();
+            core::ReleaseMsgBlocks(&system, *got, dst);
+
+            const sim::VTime priced = plan::RouteSeconds(
+                topo, src, dst, static_cast<double>(block_bytes), k, !pinned);
+            const std::string where =
+                "gpu mesh " + std::to_string(with_peer_mesh) + ", k=" +
+                std::to_string(k) + ", node " + std::to_string(src) +
+                " -> " + std::to_string(dst) +
+                (pinned ? ", pinned" : ", unpinned");
+            if (k > 1 && topo.Route(src, dst).size > 1) {
+              // A staged move overlaps column c's second hop with column
+              // c+1's first; the coster's per-hop sum does not, so it only
+              // bounds the two-hop, multi-column delivery from above.
+              EXPECT_LT(delivered, priced) << where;
+              continue;
+            }
+            EXPECT_NEAR(delivered, priced, 1e-9 * priced) << where;
+          }
+        }
+      }
+    }
+    system.blocks().FlushReleases();
+    for (sim::MemNodeId n = 0; n < topo.num_mem_nodes(); ++n) {
+      EXPECT_EQ(system.blocks().manager(n).in_use(), 0u) << "node " << n;
+    }
+  }
 }
 
 }  // namespace

@@ -2,8 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace hetex::sim {
 namespace {
+
+int CountLinks(const Topology& topo, LinkKind kind) {
+  int n = 0;
+  for (int l = 0; l < topo.num_links(); ++l) n += topo.link(l).kind == kind;
+  return n;
+}
+
+using HopList = std::vector<std::pair<int, MemNodeId>>;
+
+HopList RouteOf(const Topology& topo, MemNodeId src, MemNodeId dst) {
+  HopList out;
+  for (const Hop& h : topo.Route(src, dst)) out.emplace_back(h.link, h.node);
+  return out;
+}
 
 TEST(Topology, PaperServerShape) {
   Topology topo = Topology::PaperServer();
@@ -85,7 +102,7 @@ TEST(Topology, ScaleOutFabricShape) {
   EXPECT_EQ(topo.num_gpus(), 4);
   // Fully-connected NVLink mesh: C(4,2) undirected peer links, every pair
   // directly reachable, plus the inter-socket link.
-  EXPECT_EQ(topo.num_peer_links(), 6);
+  EXPECT_EQ(CountLinks(topo, LinkKind::kPeer), 6);
   for (int a = 0; a < 4; ++a) {
     for (int b = 0; b < 4; ++b) {
       if (a == b) {
@@ -96,18 +113,63 @@ TEST(Topology, ScaleOutFabricShape) {
       }
     }
   }
-  ASSERT_TRUE(topo.has_inter_socket_link());
-  EXPECT_DOUBLE_EQ(topo.inter_socket_link().rate(),
+  ASSERT_EQ(CountLinks(topo, LinkKind::kInterSocket), 1);
+  EXPECT_DOUBLE_EQ(topo.link(topo.num_links() - 1).server.rate(),
                    topo.cost_model().inter_socket_bw);
-  EXPECT_DOUBLE_EQ(topo.peer_link(0).rate(), topo.cost_model().nvlink_bw);
+  EXPECT_DOUBLE_EQ(topo.link(topo.PeerLinkOf(0, 1)).server.rate(),
+                   topo.cost_model().nvlink_bw);
+}
+
+TEST(Topology, LinkTableOrdersPcieThenPeerThenInterSocket) {
+  Topology topo(Topology::ScaleOutOptions(3));
+  ASSERT_EQ(topo.num_links(), 3 + 3 + 1);
+  for (int g = 0; g < 3; ++g) {
+    EXPECT_EQ(topo.PcieLinkOf(g), g);
+    EXPECT_EQ(topo.link(g).kind, LinkKind::kPcie);
+    EXPECT_EQ(topo.link(g).a, g);
+    EXPECT_EQ(topo.link(g).b, topo.gpu(g).socket);
+  }
+  // Peer links in Options::peer_links order: (0,1), (0,2), (1,2).
+  EXPECT_EQ(topo.PeerLinkOf(0, 1), 3);
+  EXPECT_EQ(topo.PeerLinkOf(0, 2), 4);
+  EXPECT_EQ(topo.PeerLinkOf(2, 1), 5);
+  EXPECT_EQ(topo.link(6).kind, LinkKind::kInterSocket);
+}
+
+TEST(Topology, RouteStatesTheRoutingPolicy) {
+  Topology topo(Topology::ScaleOutOptions(4));
+  const MemNodeId host0 = topo.socket(0).mem;
+  const MemNodeId host1 = topo.socket(1).mem;
+  const MemNodeId gpu1 = topo.gpu(1).mem;
+  const MemNodeId gpu2 = topo.gpu(2).mem;
+  EXPECT_EQ(RouteOf(topo, host0, host0), HopList{});
+  // Host <-> GPU: that GPU's PCIe link, whatever the socket.
+  EXPECT_EQ(RouteOf(topo, host0, gpu1), (HopList{{topo.PcieLinkOf(1), gpu1}}));
+  EXPECT_EQ(RouteOf(topo, gpu1, host0), (HopList{{topo.PcieLinkOf(1), host0}}));
+  // GPU -> GPU over the peer link when the mesh has one.
+  EXPECT_EQ(RouteOf(topo, gpu1, gpu2), (HopList{{topo.PeerLinkOf(1, 2), gpu2}}));
+  // Host -> another socket: the inter-socket link.
+  EXPECT_EQ(RouteOf(topo, host0, host1), (HopList{{topo.num_links() - 1, host1}}));
+
+  // No mesh and no modeled inter-socket link: GPU -> GPU stages through the
+  // source GPU's socket over two PCIe hops; cross-socket reads are free.
+  Topology::Options bare = Topology::ScaleOutOptions(4);
+  bare.peer_links.clear();
+  bare.inter_socket_bw = 0;
+  Topology staged(bare);
+  const MemNodeId via = staged.socket(staged.gpu(1).socket).mem;
+  EXPECT_EQ(RouteOf(staged, gpu1, gpu2),
+            (HopList{{staged.PcieLinkOf(1), via}, {staged.PcieLinkOf(2), gpu2}}));
+  EXPECT_EQ(RouteOf(staged, host0, host1), HopList{});
 }
 
 TEST(Topology, ScaleOutWithZeroGpusIsACpuOnlyFabric) {
   Topology topo(Topology::ScaleOutOptions(0));
   EXPECT_EQ(topo.num_gpus(), 0);
-  EXPECT_EQ(topo.num_peer_links(), 0);
   EXPECT_EQ(topo.num_pcie_links(), 0);
-  EXPECT_TRUE(topo.has_inter_socket_link());  // NUMA survives without GPUs
+  // NUMA survives without GPUs: the inter-socket link is the only link.
+  ASSERT_EQ(topo.num_links(), 1);
+  EXPECT_EQ(topo.link(0).kind, LinkKind::kInterSocket);
   EXPECT_EQ(topo.num_mem_nodes(), 2);
 }
 
@@ -115,18 +177,18 @@ TEST(Topology, DefaultOptionsHaveNoFabricLinks) {
   // The paper server: no peer mesh, no modeled inter-socket link — the exact
   // pre-fabric shape, so default-constructed systems stay bit-identical.
   Topology topo = Topology::PaperServer();
-  EXPECT_EQ(topo.num_peer_links(), 0);
-  EXPECT_FALSE(topo.has_inter_socket_link());
+  EXPECT_EQ(topo.num_links(), topo.num_pcie_links());
+  EXPECT_EQ(CountLinks(topo, LinkKind::kPcie), 2);
 }
 
 TEST(Topology, DescribePrintsFabricAndLiveBacklog) {
   Topology topo(Topology::ScaleOutOptions(2));
   const std::string fabric = topo.Describe();
-  EXPECT_NE(fabric.find("peer link 0: gpu0 <-> gpu1"), std::string::npos);
-  EXPECT_NE(fabric.find("inter-socket link"), std::string::npos);
+  EXPECT_NE(fabric.find("link 2: peer gpu0 <-> gpu1"), std::string::npos);
+  EXPECT_NE(fabric.find("link 3: inter-socket"), std::string::npos);
   EXPECT_EQ(fabric.find("backlog"), std::string::npos);  // static view
 
-  topo.peer_link(0).Reserve(64 << 20, 0.0);
+  topo.link(topo.PeerLinkOf(0, 1)).server.Reserve(64 << 20, 0.0);
   const std::string live = topo.Describe(/*epoch=*/0.0);
   EXPECT_NE(live.find("backlog"), std::string::npos);
   // The drained view at the horizon reports zero backlog everywhere.
@@ -137,9 +199,9 @@ TEST(Topology, DescribePrintsFabricAndLiveBacklog) {
 TEST(Topology, LinkHorizonCoversPeerAndInterSocketLinks) {
   Topology topo(Topology::ScaleOutOptions(2));
   EXPECT_DOUBLE_EQ(topo.LinkHorizon(), 0.0);
-  const auto peer = topo.peer_link(0).Reserve(64 << 20, 0.0);
+  const auto peer = topo.link(topo.PeerLinkOf(0, 1)).server.Reserve(64 << 20, 0.0);
   EXPECT_DOUBLE_EQ(topo.LinkHorizon(), peer.end);
-  const auto upi = topo.inter_socket_link().Reserve(1ull << 30, 0.0);
+  const auto upi = topo.link(topo.num_links() - 1).server.Reserve(1ull << 30, 0.0);
   EXPECT_DOUBLE_EQ(topo.LinkHorizon(), MaxT(peer.end, upi.end));
 }
 
