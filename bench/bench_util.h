@@ -170,7 +170,7 @@ class SsbBenchEnv {
 ///   {
 ///     "lineorder_rows": <uint>,       // fact rows in the served SSB mix
 ///     "max_concurrent": <int>,        // scheduler admission width
-///     "micro_cycles": <int>,          // timed reservation cycles per level
+///     "timeline_cycles": <int>,       // timed cycles per timeline level
 ///     "mean_solo_latency_s": <s>,     // pre-soak pool mean (rate calibration)
 ///     "offered_qps": <qps>,           // Poisson arrival rate, all levels
 ///     "levels": [                     // one entry per in-flight-session
@@ -180,23 +180,28 @@ class SsbBenchEnv {
 ///         "achieved_qps": <qps>,      // ok / virtual-time makespan
 ///         "p99_latency_s": <s>,       // queue wait + modeled latency p99
 ///         "dram_segments": <uint>,    // live System max socket-timeline size
-///         "ns_per_reservation": <ns>, // micro Register+BlockEnd+Release cost
-///         "micro_segments": <uint>,   // micro timeline size (Bound()-capped)
-///         "solo_fast_path": <bool>,   // horizon session saw BlockEnd==false
+///         "solo_closed_form": <bool>, // horizon-anchored block == closed form
 ///         "wall_s": <s>               // host wall clock (diagnostic only)
 ///       }, ...
 ///     ],
-///     "ns_flat_ratio": <x>,           // ns(256 sessions) / ns(64 sessions)
+///     "timeline": [                   // bare IntervalTimeline sweep at
+///       {                             // constant boundary density
+///         "cap": <uint>,              // Bound() cap: 4096, 16384, 65536
+///         "segments": <uint>,         // boundaries held after the timed loop
+///         "ns_per_cycle": <ns>        // one closed Add + its span walk
+///       }, ...
+///     ],
+///     "ns_ratio": <x>,                // ns_per_cycle(65536) / ns_per_cycle(4096)
 ///     "solo_max_rel_dev": <x>,        // post- vs pre-soak solo latency dev
 ///     "solo_parity_ok": <bool>        // solo_max_rel_dev <= 1e-4
 ///   }
 ///
 /// `--check` gates (exit nonzero + "CHECK FAILED:" on stderr): every session
-/// completes, every level's segment counts stay under the 4096 timeline cap,
-/// the horizon-anchored solo fast path holds at every level (the bit-exact
-/// half of the parity claim), solo_parity_ok, and ns_flat_ratio <= 3 — the
-/// O(log n) insert/probe plus Bound()-capped segment count keep reservation
-/// cost flat as in-flight sessions quadruple.
+/// completes, the live DRAM timelines stay under their 4096-segment cap, every
+/// level's horizon-anchored block equals the solo closed form bit for bit,
+/// solo_parity_ok, every timeline level holds exactly its cap (so the sweep
+/// measures timeline size, not the cap), and ns_ratio <= 3 — a reservation's
+/// cost grows at most logarithmically as the timeline grows 16x.
 
 /// Registers a 1-iteration manual-time benchmark whose reported time is the
 /// *modeled* latency on the simulated paper server.

@@ -1,38 +1,34 @@
-// Soak benchmark for the virtual-time DRAM contention model: sweeps 64/128/256
-// in-flight sessions through one long-lived System so the per-socket interval
-// timelines accumulate hundreds of closed execution-phase intervals, and gates
-// that (a) the cost of one reservation cycle stays roughly flat across the
-// sweep (the O(log n) + bounded-segment claim), and (b) solo query latencies
-// after the soak are bit-identical to the pre-soak idle-server run (a fresh
-// session anchored at the horizon overlaps nothing, so the uncontended
-// fast path — the closed-form divisor — must still be taken verbatim).
+// Soak benchmark for the virtual-time DRAM contention model. Two parts:
+//
+//   served   — sweeps 64/128/256 in-flight sessions from an SSB mix through
+//              the concurrent scheduler at a fixed offered load (Poisson
+//              arrivals), all into ONE long-lived System, so the per-socket
+//              DRAM timelines accumulate hundreds of closed execution-phase
+//              intervals. Reports achieved qps, p99 latency and the live DRAM
+//              segment count per level, and checks after each level that a
+//              fresh session anchored at each socket's horizon prices a block
+//              at exactly the solo closed form
+//              `earliest + max(bytes / rate, compute)` — bit for bit.
+//   timeline — sweeps a bare sim::IntervalTimeline capped at 4k/16k/64k
+//              segments at constant boundary density: each cycle adds one
+//              closed interval over a fixed number of boundaries near the
+//              moving end of the timeline and walks its spans the way
+//              DramServer::BlockEnd does. The Bound() cap keeps every level
+//              at its segment count, so ns/cycle across the sweep measures
+//              how one reservation scales with the timeline size.
 //
 // Usage:
 //   bench_soak_bench [--check] [--rows R] [--seed S] [--max-concurrent C]
 //                    [--cycles K] [--factor F]
 //
-// Two parts per level L in {64, 128, 256}:
-//   micro  — a bare sim::DramServer preloaded with L staggered closed
-//            intervals, then K timed Register -> BlockEnd -> Release cycles
-//            (one reservation each). Reports ns/reservation and the segment
-//            count the Bound() cap holds the timeline to, and asserts that a
-//            fresh session registered at the horizon still takes the
-//            uncontended fast path (BlockEnd == false) — the bit-exact proof
-//            that the accumulated timeline cannot touch a solo query's
-//            closed-form arithmetic.
-//   served — L one-query sessions from an SSB mix pushed through the
-//            concurrent scheduler at a fixed offered load (Poisson arrivals),
-//            all into the SAME System as every previous level. Reports
-//            achieved qps, p99 latency and the live DRAM segment count.
-//
-// --check exits nonzero unless every served query succeeds, the solo fast
-// path holds at every level, post-soak solo latencies match pre-soak within
-// 1e-4 relative (the engine has pre-existing run-to-run jitter of ~2e-6
-// relative from thread-completion-order block distribution — measured
-// identically on the previous revision — while any real contention leak
-// shifts latency by >= 1e-1 relative), segment counts stay under the
-// timeline cap, and ns/reservation at 256 sessions is <= 3x the 64-session
-// figure.
+// --check exits nonzero unless every served query succeeds, every level's
+// horizon-anchored block equals the closed form, post-soak solo latencies
+// match pre-soak within 1e-4 relative (the engine has pre-existing
+// run-to-run jitter of ~2e-6 relative from thread-completion-order block
+// distribution, while any real contention leak shifts latency by >= 1e-1
+// relative), the live timelines stay under their 4096-segment cap, every
+// timeline level reaches its segment count, and ns/cycle at 64k segments is
+// <= 3x the 4k figure.
 
 #include <algorithm>
 #include <chrono>
@@ -57,52 +53,71 @@ namespace {
 const std::vector<std::pair<int, int>> kPool = {{1, 1}, {2, 1}, {3, 1}, {4, 1}};
 
 constexpr int kLevels[] = {64, 128, 256};
+constexpr size_t kTimelineCaps[] = {4096, 16384, 65536};
 
-struct MicroStats {
-  double ns_per_reservation = 0;
+struct TimelineStats {
+  size_t cap = 0;
   size_t segments = 0;
-  bool solo_fast_path = false;
+  double ns_per_cycle = 0;
 };
 
-// One reservation cycle = what a CPU execution phase costs the DramServer:
-// open an interval, price one block against the timeline, close the interval.
-MicroStats RunMicro(int sessions, int cycles, uint64_t seed) {
-  sim::DramServer dram(45e9, 6e9);
-  const double dt = 1e-3;
-  const double span = sessions * dt;
-  for (int i = 0; i < sessions; ++i) {
-    const uint64_t t =
-        dram.Register(static_cast<uint64_t>(i), i * dt, /*workers=*/4);
-    dram.Release(t, i * dt + 0.5);
+// One cycle = what a CPU execution phase costs its socket's timeline: add the
+// closed phase interval and walk the spans one block drains across. Boundaries
+// sit `dt` apart on average at every cap; each interval covers 8 of them, and
+// starts land in the newest half of the timeline while its end moves forward
+// by 2 dt a cycle — so every cycle adds two boundaries and Bound() absorbs
+// two at the front, holding the timeline at its cap.
+TimelineStats RunTimeline(size_t cap, int cycles, uint64_t seed) {
+  constexpr double dt = 1e-6;
+  sim::IntervalTimeline tl(cap);
+  for (size_t i = 0; i < cap / 2; ++i) {
+    tl.Add(static_cast<double>(2 * i) * dt, static_cast<double>(2 * i + 1) * dt, 1);
   }
   Rng rng(seed);
-  auto cycle = [&](uint64_t session) {
-    const sim::VTime start = rng.NextDouble() * span;
-    const uint64_t tok = dram.Register(session, start, /*workers=*/4);
-    sim::VTime end = 0;
-    dram.BlockEnd(session, /*own_workers=*/4, /*bytes=*/1e5, /*compute=*/0.0,
-                  start, &end);
-    dram.Release(tok, start + 5e-4);
+  double now = static_cast<double>(cap) * dt;
+  const double window = static_cast<double>(cap / 2) * dt;
+  int spans = 0;  // keeps the walk observable to the optimizer
+  auto cycle = [&] {
+    now += 2 * dt;
+    const sim::VTime start = now - window + rng.NextDouble() * (window - 8 * dt);
+    const sim::VTime end = start + 8 * dt;
+    tl.Add(start, end, 1 + static_cast<int>(rng.Uniform(4)));
+    for (sim::VTime t = start; t < end; t = tl.At(t).until) ++spans;
   };
-  for (int i = 0; i < 512; ++i) cycle(1'000'000);  // warmup: hit the Bound cap
+  for (size_t i = 0; i < cap / 2; ++i) cycle();  // turn the prefill over once
   const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < cycles; ++i) cycle(2'000'000 + static_cast<uint64_t>(i));
+  for (int i = 0; i < cycles; ++i) cycle();
   const auto t1 = std::chrono::steady_clock::now();
-  MicroStats out;
-  out.ns_per_reservation =
+  HETEX_CHECK(spans > 0);
+  TimelineStats out;
+  out.cap = cap;
+  out.segments = tl.num_segments();
+  out.ns_per_cycle =
       std::chrono::duration<double, std::nano>(t1 - t0).count() / cycles;
-  out.segments = dram.num_segments();
-  // A fresh session anchored at the horizon overlaps none of the thousands of
-  // accumulated intervals: BlockEnd must take the uncontended fast path, so
-  // its caller prices the block with the pre-interval-timeline closed form —
-  // bit-identical solo behavior by construction.
-  const sim::VTime solo_start = dram.horizon();
-  const uint64_t solo = dram.Register(3'000'000, solo_start, 4);
-  sim::VTime end = 0;
-  out.solo_fast_path =
-      !dram.BlockEnd(3'000'000, 4, 1e6, 0.0, solo_start, &end);
-  dram.Release(solo);
   return out;
+}
+
+// A fresh session anchored at each socket's horizon overlaps none of the
+// accumulated intervals, so its block must end at the solo closed form.
+bool SoloBlockIsClosedForm(core::System* system) {
+  constexpr uint64_t kSession = 3'000'000;  // no served query's id
+  constexpr int kWorkers = 4;
+  constexpr double kBytes = 1e6;
+  constexpr sim::VTime kEarliest = 1e-3;
+  constexpr sim::VTime kCompute = 1e-5;
+  sim::Topology& topo = system->topology();
+  for (int s = 0; s < topo.num_sockets(); ++s) {
+    sim::DramServer& dram = topo.socket_dram(s);
+    const sim::VTime epoch = dram.horizon();
+    const uint64_t token = dram.Register(kSession, epoch, kWorkers);
+    const sim::VTime end =
+        dram.BlockEnd(kSession, kWorkers, kBytes, kCompute, epoch, kEarliest);
+    dram.Release(token);
+    const double rate = std::min(dram.per_worker_rate(),
+                                 dram.total_rate() / kWorkers);
+    if (end != kEarliest + std::max(kBytes / rate, kCompute)) return false;
+  }
+  return true;
 }
 
 core::System::Options SystemOptions() {
@@ -137,11 +152,11 @@ double Percentile(std::vector<double> v, double p) {
 
 struct LevelStats {
   int sessions = 0;
-  MicroStats micro;
   int ok = 0;
   double achieved_qps = 0;
   double p99_latency_s = 0;
   size_t dram_segments = 0;
+  bool solo_closed_form = false;
   double wall_s = 0;
 };
 
@@ -189,6 +204,7 @@ LevelStats RunLevel(core::System* system, const std::vector<plan::QuerySpec>& po
       makespan > 0 ? static_cast<double>(level.ok) / makespan : 0;
   level.p99_latency_s = Percentile(latencies, 0.99);
   level.dram_segments = MaxDramSegments(system);
+  level.solo_closed_form = SoloBlockIsClosedForm(system);
   return level;
 }
 
@@ -260,17 +276,14 @@ int main(int argc, char** argv) {
 
   std::vector<LevelStats> levels;
   for (int sessions : kLevels) {
-    LevelStats level =
-        RunLevel(&system, pool, sessions, max_concurrent, offered_qps,
-                 seed + static_cast<uint64_t>(sessions));
-    level.micro = RunMicro(sessions, cycles, seed ^ static_cast<uint64_t>(sessions));
-    levels.push_back(level);
+    levels.push_back(RunLevel(&system, pool, sessions, max_concurrent,
+                              offered_qps, seed + static_cast<uint64_t>(sessions)));
   }
 
   // Post-soak solo parity: a fresh session anchors past every accumulated
   // interval, so its latencies must match the pre-soak run up to the engine's
   // pre-existing scheduling jitter (~2e-6 relative; see the header comment).
-  // The bit-exact half of the claim is the per-level micro fast-path flag.
+  // The bit-exact half of the claim is the per-level closed-form check.
   const std::vector<double> solo_after = SoloLatencies(&system, pool);
   double solo_max_rel_dev = 0;
   for (size_t i = 0; i < solo_before.size(); ++i) {
@@ -280,12 +293,16 @@ int main(int argc, char** argv) {
   }
   const bool solo_parity = solo_max_rel_dev <= 1e-4;
 
-  const double ns_lo = levels.front().micro.ns_per_reservation;
-  const double ns_hi = levels.back().micro.ns_per_reservation;
+  std::vector<TimelineStats> timeline;
+  for (size_t cap : kTimelineCaps) {
+    timeline.push_back(RunTimeline(cap, cycles, seed ^ cap));
+  }
+  const double ns_lo = timeline.front().ns_per_cycle;
+  const double ns_hi = timeline.back().ns_per_cycle;
   const double ns_ratio = ns_lo > 0 ? ns_hi / ns_lo : 0;
 
   std::printf("{\n  \"lineorder_rows\": %" PRIu64 ",\n"
-              "  \"max_concurrent\": %d,\n  \"micro_cycles\": %d,\n"
+              "  \"max_concurrent\": %d,\n  \"timeline_cycles\": %d,\n"
               "  \"mean_solo_latency_s\": %.6f,\n  \"offered_qps\": %.2f,\n"
               "  \"levels\": [\n",
               rows, max_concurrent, cycles, mean_solo, offered_qps);
@@ -294,14 +311,19 @@ int main(int argc, char** argv) {
     std::printf(
         "    {\"sessions\": %d, \"ok\": %d, \"achieved_qps\": %.2f, "
         "\"p99_latency_s\": %.6f, \"dram_segments\": %zu, "
-        "\"ns_per_reservation\": %.1f, \"micro_segments\": %zu, "
-        "\"solo_fast_path\": %s, \"wall_s\": %.3f}%s\n",
+        "\"solo_closed_form\": %s, \"wall_s\": %.3f}%s\n",
         l.sessions, l.ok, l.achieved_qps, l.p99_latency_s, l.dram_segments,
-        l.micro.ns_per_reservation, l.micro.segments,
-        l.micro.solo_fast_path ? "true" : "false", l.wall_s,
+        l.solo_closed_form ? "true" : "false", l.wall_s,
         i + 1 < levels.size() ? "," : "");
   }
-  std::printf("  ],\n  \"ns_flat_ratio\": %.2f,\n"
+  std::printf("  ],\n  \"timeline\": [\n");
+  for (size_t i = 0; i < timeline.size(); ++i) {
+    const TimelineStats& t = timeline[i];
+    std::printf("    {\"cap\": %zu, \"segments\": %zu, \"ns_per_cycle\": %.1f}%s\n",
+                t.cap, t.segments, t.ns_per_cycle,
+                i + 1 < timeline.size() ? "," : "");
+  }
+  std::printf("  ],\n  \"ns_ratio\": %.2f,\n"
               "  \"solo_max_rel_dev\": %.3g,\n  \"solo_parity_ok\": %s\n}\n",
               ns_ratio, solo_max_rel_dev, solo_parity ? "true" : "false");
 
@@ -312,17 +334,17 @@ int main(int argc, char** argv) {
                      l.sessions, l.ok, l.sessions);
         return 1;
       }
-      if (l.dram_segments > 4096 || l.micro.segments > 4096) {
+      if (l.dram_segments > 4096) {
         std::fprintf(stderr,
-                     "CHECK FAILED: level %d segment count escaped the cap "
-                     "(dram %zu, micro %zu)\n",
-                     l.sessions, l.dram_segments, l.micro.segments);
+                     "CHECK FAILED: level %d DRAM segment count %zu escaped "
+                     "the 4096 cap\n",
+                     l.sessions, l.dram_segments);
         return 1;
       }
-      if (!l.micro.solo_fast_path) {
+      if (!l.solo_closed_form) {
         std::fprintf(stderr,
-                     "CHECK FAILED: level %d horizon-anchored session left the "
-                     "uncontended fast path\n",
+                     "CHECK FAILED: level %d horizon-anchored block left the "
+                     "solo closed form\n",
                      l.sessions);
         return 1;
       }
@@ -334,20 +356,29 @@ int main(int argc, char** argv) {
                    solo_max_rel_dev);
       return 1;
     }
+    for (const TimelineStats& t : timeline) {
+      if (t.segments != t.cap) {
+        std::fprintf(stderr,
+                     "CHECK FAILED: timeline level %zu held %zu segments, so "
+                     "it did not measure its size\n",
+                     t.cap, t.segments);
+        return 1;
+      }
+    }
     if (ns_ratio <= 0 || ns_ratio > 3.0) {
       std::fprintf(stderr,
-                   "CHECK FAILED: ns/reservation not flat across the sweep "
-                   "(%.1f ns at %d sessions vs %.1f ns at %d, ratio %.2f > 3)\n",
-                   ns_hi, levels.back().sessions, ns_lo, levels.front().sessions,
+                   "CHECK FAILED: ns/cycle grows with the timeline "
+                   "(%.1f ns at %zu segments vs %.1f ns at %zu, ratio %.2f > 3)\n",
+                   ns_hi, timeline.back().cap, ns_lo, timeline.front().cap,
                    ns_ratio);
       return 1;
     }
     std::fprintf(stderr,
-                 "check ok: %d/%d/%d sessions, ns/reservation %.0f -> %.0f "
-                 "(ratio %.2f), solo fast path held, solo latencies within "
-                 "%.3g of pre-soak\n",
-                 kLevels[0], kLevels[1], kLevels[2], ns_lo, ns_hi, ns_ratio,
-                 solo_max_rel_dev);
+                 "check ok: %d/%d/%d sessions, solo blocks at the closed form, "
+                 "solo latencies within %.3g of pre-soak; ns/cycle %.0f -> "
+                 "%.0f over %zu -> %zu segments (ratio %.2f)\n",
+                 kLevels[0], kLevels[1], kLevels[2], solo_max_rel_dev, ns_lo,
+                 ns_hi, timeline.front().cap, timeline.back().cap, ns_ratio);
   }
   return 0;
 }

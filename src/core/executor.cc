@@ -86,14 +86,6 @@ QueryResult QueryExecutor::ExecuteOptimized(const plan::QuerySpec& spec,
   return ExecutePlan(spec, result->best().plan);
 }
 
-std::string QueryExecutor::Explain(const plan::QuerySpec& spec,
-                                   const plan::ExecPolicy& base) const {
-  plan::OptimizeResult result;
-  const Status st = Optimize(spec, base, &result);
-  if (!st.ok()) return st.ToString() + "\n";
-  return result.ToString();
-}
-
 QueryResult QueryExecutor::ExecutePlan(const plan::QuerySpec& spec,
                                        const plan::HetPlan& plan) {
   // Solo session: a fresh id and an epoch past every shared-resource backlog,

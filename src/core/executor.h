@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -140,10 +139,6 @@ class QueryExecutor {
   Status OptimizeAt(const plan::QuerySpec& spec, const plan::ExecPolicy& base,
                     sim::VTime epoch, plan::OptimizeResult* out,
                     const std::vector<int>* exclude_gpus = nullptr) const;
-
-  /// Human-readable ranked candidate table for `spec` under `base` (the
-  /// EXPLAIN path; returns the error text when optimization fails).
-  std::string Explain(const plan::QuerySpec& spec, const plan::ExecPolicy& base) const;
 
   /// Runs a pre-built — possibly hand-mutated — heterogeneity-aware plan.
   /// Changing the plan (router policies, placements, block granularity) changes

@@ -218,14 +218,10 @@ class DramPhaseGuard {
  public:
   DramPhaseGuard(sim::Topology* topo, const QuerySession& session,
                  const std::vector<const StageSpec*>& stages, sim::VTime start)
-      : topo_(topo), epoch_(session.epoch) {
-    for (const StageSpec* stage : stages) {
-      for (const auto& dev : stage->instances) {
-        if (dev.is_cpu()) workers_[dev.index] += 1;
-      }
-    }
+      : topo_(topo),
+        epoch_(session.epoch),
+        workers_(plan::CpuWorkersPerSocket(stages)) {
     for (const auto& [socket, n] : workers_) {
-      if (n <= 0) continue;
       tokens_.emplace_back(socket, topo_->socket_dram(socket).Register(
                                        session.query_id, epoch_ + start, n));
     }
@@ -568,7 +564,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     }
     // Every build worker of the phase streams concurrently: a socket's fluid
     // share divides by all of them, not just one group's.
-    for (auto& g : builds) g.group->Start(&build_dram.workers());
+    for (auto& g : builds) g.group->Start(build_dram.workers());
     for (auto& g : builds) g.source->Start();
     for (auto& g : builds) g.source->Join();
     for (auto& g : builds) g.group->Join();
@@ -650,7 +646,10 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
     stages.push_back(std::move(rt));
   }
 
-  for (auto& rt : stages) rt.group->Start();
+  // Each fact stage's workers divide their socket's DRAM by their own count.
+  for (size_t i = 0; i < stages.size(); ++i) {
+    stages[i].group->Start(plan::CpuWorkersPerSocket(spec_.fact_stages[i]));
+  }
   for (auto& rt : stages) {
     if (rt.source != nullptr) rt.source->Start();
   }

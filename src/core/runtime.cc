@@ -326,19 +326,13 @@ std::vector<WorkerInstance*> WorkerGroup::instance_ptrs() {
   return out;
 }
 
-void WorkerGroup::Start(const std::map<int, int>* socket_workers) {
-  // Deterministic per-socket worker counts drive the CPU fluid-share model.
-  std::map<int, int> own_workers;
-  for (auto& inst : instances_) {
-    if (inst->device().is_cpu()) own_workers[inst->device().index] += 1;
-  }
-  if (socket_workers == nullptr) socket_workers = &own_workers;
+void WorkerGroup::Start(const std::map<int, int>& socket_workers) {
   for (auto& inst : instances_) {
     inst->set_clock(initial_clock_);
     if (inst->device().is_cpu()) {
-      const auto it = socket_workers->find(inst->device().index);
+      const auto it = socket_workers.find(inst->device().index);
       static_cast<jit::CpuProvider&>(inst->provider())
-          .set_socket_concurrency(it != socket_workers->end() ? it->second : 1);
+          .set_socket_concurrency(it != socket_workers.end() ? it->second : 1);
     }
     if (out_ != nullptr) out_->AddProducer();
   }

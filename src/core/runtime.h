@@ -224,9 +224,10 @@ class WorkerGroup {
               sim::VTime initial_clock, sim::VTime epoch = 0.0,
               uint64_t query_id = 0, const QueryControl* control = nullptr);
 
-  /// `socket_workers` (per-socket CPU workers of the execution phase this
-  /// group runs in) is the CPU fluid-share divisor; null = the group's own.
-  void Start(const std::map<int, int>* socket_workers = nullptr);
+  /// `socket_workers` (plan::CpuWorkersPerSocket of the stages this group
+  /// streams alongside) is the CPU fluid-share divisor; a socket it does not
+  /// list divides by 1.
+  void Start(const std::map<int, int>& socket_workers);
   void Join();
 
   int size() const { return static_cast<int>(instances_.size()); }

@@ -1,6 +1,5 @@
 #include "jit/device_provider.h"
 
-#include <algorithm>
 #include <array>
 #include <mutex>
 
@@ -242,26 +241,12 @@ ExecResult CpuProvider::Execute(const PipelineProgram& program, ExecRequest& req
 
   const sim::CostModel& cm = topo_->cost_model();
   // Fluid share of the socket's DRAM bandwidth: the block's bytes drain
-  // against every execution-phase interval overlapping it *in virtual time*
-  // on the socket's timeline — this query's own workers (the deterministic
-  // per-group count) plus whichever other sessions' intervals the block
-  // actually crosses, integrated piecewise as the overlap changes
-  // (sim::DramServer::BlockEnd). When nothing overlaps, the closed-form solo
-  // arithmetic below is used verbatim, so uncontended results stay
-  // bit-identical to the within-query fluid share.
-  const sim::DramServer& dram = topo_->socket_dram(socket_);
-  const sim::VTime start_abs = session_epoch() + req.earliest;
-  sim::VTime end_abs;
-  if (dram.BlockEnd(session_id(), socket_concurrency_,
-                    cm.BandwidthBytes(result.stats, cm.cpu),
-                    cm.ComputeTime(result.stats, cm.cpu), start_abs,
-                    &end_abs)) {
-    result.end = req.earliest + (end_abs - start_abs);
-  } else {
-    const double bw =
-        std::min(cm.cpu_core_bw, cm.cpu_socket_bw / socket_concurrency_);
-    result.end = req.earliest + cm.WorkCost(result.stats, cm.cpu, bw);
-  }
+  // against this query's own workers (the deterministic per-group count) plus
+  // whichever other sessions' phases the block crosses in virtual time
+  // (sim::DramServer::BlockEnd).
+  result.end = topo_->socket_dram(socket_).BlockEnd(
+      session_id(), socket_concurrency_, cm.BandwidthBytes(result.stats, cm.cpu),
+      cm.ComputeTime(result.stats, cm.cpu), session_epoch(), req.earliest);
   return result;
 }
 

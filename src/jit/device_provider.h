@@ -216,8 +216,6 @@ class GpuProvider : public DeviceProvider {
   /// GPU's PCIe link, and their streamed bytes reserve real occupancy on that
   /// link's BandwidthServer (epoch-anchored, first-fit, exactly like DMA) —
   /// concurrent sessions' transfers queue behind the kernel and vice versa.
-  /// (Replaces the old stream-bandwidth discount: GpuDevice::LaunchOptions
-  /// still takes a raw stream_bw for occupancy-limited kernel emulations.)
   void set_uva(bool uva) { uva_ = uva; }
   bool uva() const { return uva_; }
 

@@ -47,18 +47,4 @@ void MemoryManager::Free(void* ptr) {
   used_.fetch_sub(bytes, std::memory_order_relaxed);
 }
 
-Status MemoryManager::ChargeModeled(uint64_t bytes) {
-  uint64_t prev = used_.fetch_add(bytes, std::memory_order_relaxed);
-  if (prev + bytes > capacity_) {
-    used_.fetch_sub(bytes, std::memory_order_relaxed);
-    return Status::OutOfMemory("modeled capacity exceeded on node " +
-                               std::to_string(node_));
-  }
-  return Status::OK();
-}
-
-void MemoryManager::ReleaseModeled(uint64_t bytes) {
-  used_.fetch_sub(bytes, std::memory_order_relaxed);
-}
-
 }  // namespace hetex::memory

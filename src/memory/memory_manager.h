@@ -36,12 +36,6 @@ class MemoryManager {
   /// Frees a previous allocation.
   void Free(void* ptr);
 
-  /// Charges modeled capacity without physically allocating (used when a scaled
-  /// benchmark wants a full-scale footprint model; see ROADMAP.md, "Scaled
-  /// miniatures").
-  Status ChargeModeled(uint64_t bytes);
-  void ReleaseModeled(uint64_t bytes);
-
   sim::MemNodeId node() const { return node_; }
   uint64_t capacity() const { return capacity_; }
   uint64_t used() const { return used_.load(std::memory_order_relaxed); }

@@ -438,13 +438,6 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     return frac;
   };
 
-  // Adds a stage's CPU workers to per-socket counts.
-  auto add_cpu_workers = [](const PlanStage& stage, std::map<int, int>* workers) {
-    for (const auto& dev : stage.instances) {
-      if (dev.is_cpu()) (*workers)[dev.index] += 1;
-    }
-  };
-
   // `phase_workers`: the per-socket CPU workers of the whole execution phase
   // the stage runs in (the build phase's divisor); null = the stage's own.
   auto stage_instances = [&](const PlanStage& stage, const Profile& profile,
@@ -456,12 +449,8 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
     // CPU workers share their socket's DRAM bandwidth — with this candidate's
     // own workers and with every other in-flight session's (the runtime's
     // cross-session fluid-share divisor).
-    std::map<int, int> socket_workers;
-    if (phase_workers != nullptr) {
-      socket_workers = *phase_workers;
-    } else {
-      add_cpu_workers(stage, &socket_workers);
-    }
+    std::map<int, int> socket_workers =
+        phase_workers != nullptr ? *phase_workers : CpuWorkersPerSocket(stage);
     cols = std::max<uint64_t>(1, cols);
     const sim::CostStats block_stats =
         profile.Scale(static_cast<double>(block_rows));
@@ -587,12 +576,10 @@ Result<CostEstimate> PlanCoster::Cost(const HetPlan& plan) const {
   };
 
   // ------------------------------------------------------------------ builds
-  // Every build worker of the phase streams concurrently, so a socket's
-  // fluid share divides by all of them (as the runtime's build phase does).
-  std::map<int, int> build_workers;
-  for (const PlanStage& stage : stages->build_stages) {
-    add_cpu_workers(stage, &build_workers);
-  }
+  // Every build stage streams at once: one divisor over all of them.
+  std::vector<const PlanStage*> build_phase;
+  for (const PlanStage& stage : stages->build_stages) build_phase.push_back(&stage);
+  const std::map<int, int> build_workers = CpuWorkersPerSocket(build_phase);
   for (const PlanStage& stage : stages->build_stages) {
     const size_t j = stage.join_id >= 0 ? static_cast<size_t>(stage.join_id) : 0;
     const uint64_t rows =

@@ -1,6 +1,9 @@
 #ifndef HETEX_PLAN_STAGES_H_
 #define HETEX_PLAN_STAGES_H_
 
+#include <array>
+#include <map>
+#include <ranges>
 #include <vector>
 
 #include "common/status.h"
@@ -66,6 +69,29 @@ struct StagePartition {
 /// placement stamp, exchanges fed by several routers or segmenters, or a
 /// segmenter mixed with pipeline producers.
 Result<StagePartition> PartitionSpans(const HetPlan& plan);
+
+/// CPU workers per socket over `stages` (a range of PlanStage pointers) — the
+/// one count behind CPU DRAM contention. Every build stage runs at once, so
+/// the build phase's count over all of them is both the width of its interval
+/// on each socket's sim::DramServer timeline and each build worker's
+/// fluid-share divisor. The fact phase registers its count over all fact
+/// stages, but each fact stage divides by its own count alone. GraphBuilder
+/// and PlanCoster both take the counts from here.
+template <std::ranges::input_range StagePtrs>
+std::map<int, int> CpuWorkersPerSocket(const StagePtrs& stages) {
+  std::map<int, int> workers;
+  for (const PlanStage* stage : stages) {
+    for (const sim::DeviceId& dev : stage->instances) {
+      if (dev.is_cpu()) workers[dev.index] += 1;
+    }
+  }
+  return workers;
+}
+
+/// One stage's own CPU workers per socket.
+inline std::map<int, int> CpuWorkersPerSocket(const PlanStage& stage) {
+  return CpuWorkersPerSocket(std::array{&stage});
+}
 
 /// Rows per block a segmenter-fed stage scans: the segmenter's stamped
 /// granularity, capped at `staging_rows` (the system's block_bytes / 8) when

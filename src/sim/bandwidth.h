@@ -4,6 +4,7 @@
 #include <atomic>
 #include <map>
 #include <mutex>
+#include <optional>
 
 #include "sim/interval_timeline.h"
 #include "sim/vtime.h"
@@ -138,20 +139,22 @@ class BandwidthServer {
 /// extended across everything in flight. A solo session sees exactly the old
 /// per-query divisor, so uncontended latencies are unchanged.
 ///
-/// Accounting is virtual-time exact, not wall-clock scoped: a phase opens its
-/// interval at its absolute start (Register), runs open-ended while the
-/// engine models it, and closes at its modeled end (Release with an end
-/// time). Closed intervals persist on the timeline, so a later session whose
-/// epoch overlaps them is charged even if the earlier query finished running
-/// (in wall-clock terms) long ago — and staggered-epoch sessions that never
-/// overlap in virtual time no longer share a divisor just because their
-/// wall-clock registrations coincided.
+/// Accounting is virtual-time exact, not wall-clock scoped: a phase opens at
+/// its absolute start (Register) and is held in the open set while the engine
+/// models it; it closes at its modeled end (Release with an end time), and
+/// only then does its interval join the timeline. Closed intervals persist,
+/// so a later session whose epoch overlaps them is charged even if the
+/// earlier query finished running (in wall-clock terms) long ago — and
+/// staggered-epoch sessions that never overlap in virtual time no longer
+/// share a divisor just because their wall-clock registrations coincided.
+/// Every reader sums the closed timeline and the open set; an open phase
+/// counts from its start onwards.
 class DramServer {
  public:
   DramServer(double total_rate, double per_worker_rate)
       : total_rate_(total_rate), per_worker_rate_(per_worker_rate) {}
 
-  /// Opens a `workers`-wide interval of query session `session` starting at
+  /// Opens a `workers`-wide phase of query session `session` starting at
   /// *absolute* virtual time `start` (open-ended until Release closes it).
   /// Returns a token for Release; one session may hold several registrations
   /// (e.g. build phase and fact phase of one query overlap with different
@@ -159,24 +162,30 @@ class DramServer {
   uint64_t Register(uint64_t session, VTime start, int workers) {
     std::lock_guard<std::mutex> lock(mu_);
     const uint64_t token = next_token_++;
-    const int w = workers < 0 ? 0 : workers;
-    open_[token] = Entry{session, start, w};
-    if (w > 0) {
-      timeline_.Add(start, IntervalTimeline::kOpenEnd, w);
+    if (workers > 0) {
+      open_[token] = Entry{session, start, workers};
       generation_.fetch_add(1, std::memory_order_release);
     }
     return token;
   }
 
   /// Closes the phase at absolute virtual time `end` (clamped to its start).
-  /// The closed interval [start, max(start, end)) stays on the timeline and
+  /// The closed interval [start, max(start, end)) joins the timeline and
   /// contends with any session overlapping it in virtual time.
-  void Release(uint64_t token, VTime end) { CloseAt(token, /*at_start=*/false, end); }
+  void Release(uint64_t token, VTime end) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (const auto e = Take(token)) {
+      timeline_.Add(e->start, MaxT(e->start, end), e->workers);
+    }
+  }
 
-  /// Discards the registration: the interval closes at its own start and
-  /// leaves no residue. The error-path/test teardown overload — a phase that
-  /// never modeled work must not charge future sessions.
-  void Release(uint64_t token) { CloseAt(token, /*at_start=*/true, 0.0); }
+  /// Discards the registration, leaving no residue. The error-path/test
+  /// teardown overload — a phase that never modeled work must not charge
+  /// future sessions.
+  void Release(uint64_t token) {
+    std::lock_guard<std::mutex> lock(mu_);
+    Take(token);
+  }
 
   /// Bumped on every worker-bearing open and close — exactly two per
   /// execution phase. Tests use the delta to prove the runtime still
@@ -186,67 +195,71 @@ class DramServer {
     return generation_.load(std::memory_order_acquire);
   }
 
-  /// Integrates one worker's block over the timeline: starting at absolute
-  /// virtual time `start`, `bytes` drain at the fluid share
-  /// min(per-worker cap, aggregate / (own_workers + overlapping others))
-  /// piecewise across the step spans; the block ends when the bytes are done,
-  /// floored by `start + compute`. Returns false when no other session's
-  /// interval overlaps the drain — the caller then uses its closed-form solo
-  /// arithmetic, keeping uncontended results bit-identical.
+  /// Session-local end of one worker's block of session `session` (anchored
+  /// at absolute `epoch`) that is ready at session-local `earliest`: `bytes`
+  /// drain at the fluid share min(per-worker cap, aggregate / (own_workers +
+  /// other sessions' overlapping workers)) piecewise across the step spans,
+  /// and the block ends when the bytes are done, floored by `earliest +
+  /// compute`. With nothing overlapping the drain this is exactly the closed
+  /// form `earliest + max(bytes / rate, compute)` at the solo divisor.
   ///
-  /// `session`'s own open intervals covering `start` are excluded from the
-  /// divisor (the query's own concurrency is `own_workers`, priced
-  /// deterministically by the caller, not read back from the timeline).
-  bool BlockEnd(uint64_t session, int own_workers, double bytes, VTime compute,
-                VTime start, VTime* end) const {
-    if (bytes <= 0.0) return false;
-    std::lock_guard<std::mutex> lock(mu_);
-    int own_open = 0;
-    for (const auto& [token, e] : open_) {
-      if (e.session == session && e.start <= start) own_open += e.workers;
-    }
+  /// `session`'s own open phases are not read back: the query's own
+  /// concurrency is `own_workers`, priced deterministically by the caller.
+  VTime BlockEnd(uint64_t session, int own_workers, double bytes,
+                 VTime compute, VTime epoch, VTime earliest) const {
     const int own = own_workers < 1 ? 1 : own_workers;
-    VTime t = start;
+    std::lock_guard<std::mutex> lock(mu_);
+    VTime t = earliest;            // session-local drain cursor
+    VTime abs = epoch + earliest;  // the same instant on the timeline
     double remaining = bytes;
-    bool contended = false;
-    while (true) {
-      const IntervalTimeline::Span span = timeline_.At(t);
-      const int others = span.level > own_open ? span.level - own_open : 0;
-      if (others > 0) contended = true;
+    while (remaining > 0.0) {
+      const IntervalTimeline::Span span = timeline_.At(abs);
+      int others = span.level;
+      VTime until = span.until;
+      for (const auto& [token, e] : open_) {
+        if (e.session == session) continue;
+        if (e.start <= abs) {
+          others += e.workers;
+        } else if (e.start < until) {
+          until = e.start;
+        }
+      }
       const double share = total_rate_ / static_cast<double>(own + others);
       const double rate = share < per_worker_rate_ ? share : per_worker_rate_;
-      if (span.until == IntervalTimeline::kOpenEnd) {
-        t += remaining / rate;
-        break;
-      }
-      const double cap = rate * (span.until - t);
+      const double cap = rate * (until - abs);
       if (remaining <= cap) {
         t += remaining / rate;
         break;
       }
       remaining -= cap;
-      t = span.until;
+      t = until - epoch;
+      abs = until;
     }
-    if (!contended) return false;
-    *end = MaxT(start + compute, t);
-    return true;
+    return MaxT(earliest + compute, t);
   }
 
-  /// Workers whose intervals (open or closed) overlap absolute virtual time
-  /// t — the coster's backlog query at a candidate plan's epoch.
+  /// Workers whose phases (open or closed) overlap absolute virtual time t —
+  /// the coster's backlog query at a candidate plan's epoch.
   int workers_overlapping(VTime t) const {
     std::lock_guard<std::mutex> lock(mu_);
-    return timeline_.At(t).level;
+    int n = timeline_.At(t).level;
+    for (const auto& [token, e] : open_) {
+      if (e.start <= t) n += e.workers;
+    }
+    return n;
   }
 
-  /// Last timeline boundary: every *closed* interval ends at or before it, so
-  /// a session anchored here overlaps none of them (open intervals extend
-  /// past their start boundary; they belong to queries still being modeled).
+  /// Latest closed-interval end or open-phase start: a session anchored here
+  /// overlaps no closed interval (open phases extend past their start; they
+  /// belong to queries still being modeled).
   VTime horizon() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return timeline_.horizon();
+    VTime h = timeline_.horizon();
+    for (const auto& [token, e] : open_) h = MaxT(h, e.start);
+    return h;
   }
 
+  /// Boundary count of the closed-interval timeline (diagnostics).
   size_t num_segments() const {
     std::lock_guard<std::mutex> lock(mu_);
     return timeline_.num_segments();
@@ -279,17 +292,14 @@ class DramServer {
     int workers = 0;
   };
 
-  void CloseAt(uint64_t token, bool at_start, VTime end) {
-    std::lock_guard<std::mutex> lock(mu_);
+  /// Removes an open phase (none for an unknown or zero-worker token).
+  std::optional<Entry> Take(uint64_t token) {
     auto it = open_.find(token);
-    if (it == open_.end()) return;
+    if (it == open_.end()) return std::nullopt;
     const Entry e = it->second;
     open_.erase(it);
-    if (e.workers > 0) {
-      const VTime close = at_start ? e.start : MaxT(e.start, end);
-      timeline_.Add(close, IntervalTimeline::kOpenEnd, -e.workers);
-      generation_.fetch_add(1, std::memory_order_release);
-    }
+    generation_.fetch_add(1, std::memory_order_release);
+    return e;
   }
 
   const double total_rate_;
@@ -297,9 +307,9 @@ class DramServer {
   std::atomic<uint64_t> generation_{0};
   mutable std::mutex mu_;
   uint64_t next_token_ = 1;
-  /// Open (not yet closed) registrations by token.
+  /// Open (not yet closed) worker-bearing phases by token.
   std::map<uint64_t, Entry> open_;
-  /// All intervals, open and closed, on the absolute timeline.
+  /// Closed phases on the absolute timeline.
   IntervalTimeline timeline_{4096};
 };
 

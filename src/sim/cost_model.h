@@ -3,7 +3,6 @@
 
 #include <cstdint>
 
-#include "plan/cost_params.h"
 #include "sim/vtime.h"
 
 namespace hetex::sim {
@@ -80,17 +79,26 @@ class CostModel {
   double nvlink_bw = 40e9;        ///< B/s of one NVLink-class GPU peer link
   double inter_socket_bw = 38e9;  ///< B/s of the UPI/QPI inter-socket link
 
-  // Control-plane constants, seeded from the one shared definition so the
-  // planner's stamps/estimates and the runtime simulation cannot drift apart
-  // (see plan::CostParams).
-  double dma_latency = plan::CostParams{}.dma_latency;
-  double peer_dma_latency = plan::CostParams{}.peer_dma_latency;
-  double inter_socket_latency = plan::CostParams{}.inter_socket_latency;
-  double kernel_launch_latency = plan::CostParams{}.kernel_launch_latency;
-  double task_spawn_latency = plan::CostParams{}.task_spawn_latency;
-  double router_init_latency = plan::CostParams{}.router_init_latency;
-  double router_control_cost = plan::CostParams{}.router_control_cost;
-  double segmenter_block_cost = plan::CostParams{}.segmenter_block_cost;
+  // Control-plane constants of the HetExchange operators. BuildHetPlan stamps
+  // them onto plan nodes from the topology's CostModel and PlanCoster prices
+  // those stamps, so the planner and the runtime simulation read one
+  // definition (benchmark-scaled models included, see ScaleFixedLatencies).
+  double dma_latency = 1e-5;  ///< fixed per-transfer DMA setup on a PCIe link
+  /// Fixed per-transfer setup on an NVLink-class GPU peer link. Peer DMA
+  /// skips the host round-trip, so setup is cheaper than a PCIe transfer.
+  double peer_dma_latency = 5e-6;
+  /// Fixed per-hop cost of a cross-socket (UPI/QPI-class) cache-line transfer
+  /// batch; charged once per delivered block that crosses sockets.
+  double inter_socket_latency = 5e-7;
+  double kernel_launch_latency = 8e-6;  ///< launching one GPU kernel
+  /// Spawning a host task (the gpu2cpu crossing, §3.2).
+  double task_spawn_latency = 2e-6;
+  /// Router instantiation + thread pinning (the paper measures ~10 ms, §6.4).
+  double router_init_latency = 1e-2;
+  /// Per-message routing decision (control plane only, §3.1).
+  double router_control_cost = 100e-9;
+  /// Per-block segmentation cost (control plane only).
+  double segmenter_block_cost = 20e-9;
 
   /// Fixed latency of a serving-layer result-cache hit (hash-map probe plus
   /// bookkeeping); the row copy itself is charged at cpu_core_bw on top.

@@ -115,9 +115,7 @@ GpuDevice::LaunchResult GpuDevice::LaunchKernel(const KernelFn& fn, int grid_thr
     }
     work = MaxT(compute, stream_done);
   } else {
-    const double bw =
-        opts.stream_bw > 0.0 ? opts.stream_bw : cost_model_->gpu_mem_bw;
-    work = cost_model_->WorkCost(result.stats, caps, bw);
+    work = cost_model_->WorkCost(result.stats, caps, cost_model_->gpu_mem_bw);
   }
   // The UVA path commits the stream slot at the start it probed: the link
   // bytes above are anchored there, so re-running first fit (which another

@@ -56,11 +56,6 @@ class GpuDevice {
   struct LaunchOptions {
     /// Session-local virtual time at which the kernel's input exists.
     VTime earliest = 0;
-    /// Effective memory bandwidth for this kernel: 0 = the device's full
-    /// bandwidth; lowered for register-pressure-limited occupancy (the DBMS G
-    /// emulation). Ignored when `uva_link` is set — UVA bandwidth then comes
-    /// from the link reservation itself.
-    double stream_bw = 0.0;
     /// Absolute arrival time of the launching query session; the kernel queues
     /// on the shared stream at `epoch + earliest` and the result windows come
     /// back session-local (epoch-relative).
@@ -78,14 +73,12 @@ class GpuDevice {
   LaunchResult LaunchKernel(const KernelFn& fn, int grid_threads, int block_dim,
                             const LaunchOptions& opts);
 
-  /// Convenience overload (earliest / stream_bw / epoch positional; no UVA
-  /// link) — the pre-UVA-occupancy signature most sim tests use.
+  /// Convenience overload (earliest / epoch positional; no UVA link) — the
+  /// signature most sim tests use.
   LaunchResult LaunchKernel(const KernelFn& fn, int grid_threads, int block_dim,
-                            VTime earliest, double stream_bw = 0.0,
-                            VTime epoch = 0.0) {
+                            VTime earliest, VTime epoch = 0.0) {
     LaunchOptions opts;
     opts.earliest = earliest;
-    opts.stream_bw = stream_bw;
     opts.epoch = epoch;
     return LaunchKernel(fn, grid_threads, block_dim, opts);
   }

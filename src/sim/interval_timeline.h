@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 
+#include "common/logging.h"
 #include "sim/vtime.h"
 
 namespace hetex::sim {
@@ -15,13 +16,16 @@ namespace hetex::sim {
 /// simulator: a step function `level(t)` stored as a sorted boundary map
 /// (key -> level on [key, next key)). Serially-shared resources (PCIe links,
 /// GPU kernel streams) use it with weight 1 and first-fit gap probing; the
-/// socket DRAM fluid-share server uses signed weighted intervals, where
-/// `level(t)` is the number of workers whose execution phases overlap t.
+/// socket DRAM fluid-share server adds each closed execution phase with its
+/// worker count, so `level(t)` is the number of workers whose closed phases
+/// overlap t. Intervals are closed and positively weighted: the level past
+/// the last boundary is always 0.
 ///
-/// All operations are O(log n + touched boundaries); the boundary count is
-/// bounded by `max_segments` via a conservative merge (levels are only ever
-/// raised, so bounding can delay or slow work but never speed it up) — a
-/// long-lived server cannot grow without bound.
+/// All operations are O(log n + touched boundaries): Add touches only the
+/// boundaries inside [start, end]. The boundary count is bounded by
+/// `max_segments` via a conservative merge (levels are only ever raised, so
+/// bounding can delay or slow work but never speed it up) — a long-lived
+/// server cannot grow without bound.
 ///
 /// Not thread-safe; the owning server's mutex guards it.
 class IntervalTimeline {
@@ -31,20 +35,12 @@ class IntervalTimeline {
   explicit IntervalTimeline(size_t max_segments = 2048)
       : max_segments_(max_segments < 8 ? 8 : max_segments) {}
 
-  /// Adds `weight` over [start, end) — or [start, infinity) when `end` is
-  /// kOpenEnd (an open interval, closed later by a matching negative Add).
-  /// Weights may be negative; the caller keeps levels non-negative.
+  /// Adds `weight` (> 0) over the finite interval [start, end).
   void Add(VTime start, VTime end, int weight) {
-    if (weight == 0 || end <= start) return;
-    auto from = EnsureBoundary(start);
-    if (end == kOpenEnd) {
-      for (auto it = from; it != steps_.end(); ++it) it->second += weight;
-    } else {
-      auto to = EnsureBoundary(end);
-      for (auto it = steps_.lower_bound(start); it != to; ++it) {
-        it->second += weight;
-      }
-    }
+    HETEX_DCHECK(weight > 0 && end < kOpenEnd);
+    if (end <= start) return;
+    const auto to = EnsureBoundary(end);
+    for (auto it = EnsureBoundary(start); it != to; ++it) it->second += weight;
     Coalesce(start, end);
     Bound();
   }
@@ -66,8 +62,8 @@ class IntervalTimeline {
   /// Earliest start >= `ready` of a level-0 gap holding `duration`. With
   /// weight-1 closed intervals this reproduces the disjoint-busy-map first
   /// fit bit-for-bit: the ready time is pushed out of any busy span it lands
-  /// in, then past every span whose gap is too small. Returns kOpenEnd only
-  /// if the timeline is busy forever (an unclosed open interval).
+  /// in, then past every span whose gap is too small. The level past the last
+  /// boundary is 0, so the scan returns there at the latest.
   VTime FirstFit(VTime duration, VTime ready) const {
     VTime start = ready;
     auto it = steps_.upper_bound(start);
@@ -77,16 +73,14 @@ class IntervalTimeline {
         const VTime until = (it == steps_.end()) ? kOpenEnd : it->first;
         if (until - start >= duration) return start;
       }
-      if (it == steps_.end()) return level == 0 ? start : kOpenEnd;
       level = it->second;
       if (level == 0 && it->first > start) start = it->first;
       ++it;
     }
   }
 
-  /// Last boundary on the timeline: past it the level is constant (0 unless
-  /// an interval is still open). Closed intervals all end at or before it, so
-  /// a session anchored at the horizon overlaps none of them.
+  /// Last boundary on the timeline: every interval ends at or before it, so a
+  /// session anchored at the horizon overlaps none of them.
   VTime horizon() const {
     return steps_.empty() ? 0.0 : steps_.rbegin()->first;
   }
@@ -109,7 +103,7 @@ class IntervalTimeline {
   void Coalesce(VTime start, VTime end) {
     auto it = steps_.lower_bound(start);
     int prev = (it == steps_.begin()) ? 0 : std::prev(it)->second;
-    while (it != steps_.end() && (end == kOpenEnd || it->first <= end)) {
+    while (it != steps_.end() && it->first <= end) {
       if (it->second == prev) {
         it = steps_.erase(it);
       } else {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "plan/coster.h"
 #include "plan/het_plan.h"
@@ -169,6 +170,25 @@ TEST_F(GraphBuilderTest, ParallelBuildLowering) {
   ASSERT_TRUE(one.status.ok()) << one.status.ToString();
   EXPECT_EQ(one.rows, result.rows);
   EXPECT_LT(result.build_seconds, one.build_seconds);
+}
+
+TEST_F(GraphBuilderTest, CpuWorkersPerSocketCountsOnlyCpuInstances) {
+  // Hybrid Q2.1: 4 CPU workers (2 per socket) and 2 GPUs. Every build stage
+  // runs at once, so the build phase counts them together; each fact stage
+  // counts its own CPU instances, never its GPU ones.
+  const auto spec = env_.ssb->Query(2, 1);
+  const LoweredSpec lowered =
+      Lower(Plan(spec, TestEnv::Tune(ExecPolicy::Hybrid(4))));
+  std::vector<const StageSpec*> builds;
+  for (const StageSpec& stage : lowered.build_stages) builds.push_back(&stage);
+  ASSERT_EQ(builds.size(), 3u);
+  EXPECT_EQ(plan::CpuWorkersPerSocket(builds),
+            (std::map<int, int>{{0, 3}, {1, 3}}));
+  ASSERT_EQ(lowered.fact_stages.size(), 2u);  // gather, probe
+  EXPECT_EQ(plan::CpuWorkersPerSocket(lowered.fact_stages[1]),
+            (std::map<int, int>{{0, 2}, {1, 2}}));
+  EXPECT_EQ(plan::CpuWorkersPerSocket(lowered.fact_stages[0]),
+            (std::map<int, int>{{0, 1}}));
 }
 
 TEST_F(GraphBuilderTest, SplitPlanLowersSharedHashExchange) {

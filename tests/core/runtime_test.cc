@@ -58,7 +58,7 @@ class RuntimeTest : public ::testing::Test {
 
   /// Sends `n` single-column host blocks through an edge into `group`.
   void Drive(Edge& edge, WorkerGroup& group, int n) {
-    group.Start();
+    group.Start({});
     edge.AddProducer();
     const sim::MemNodeId host = system_.topology().socket(0).mem;
     for (int i = 0; i < n; ++i) {
@@ -167,7 +167,7 @@ TEST_F(RuntimeTest, LoadBalanceKeepsGpuResidentBlocksLocal) {
   opts.policy = Edge::Policy::kLoadBalance;
   Edge edge(&system_, opts, group.instance_ptrs());
 
-  group.Start();
+  group.Start({});
   edge.AddProducer();
   // Blocks already resident on gpu1 must route to gpu1, never gpu0.
   const sim::MemNodeId gpu1 = system_.topology().gpu(1).mem;
@@ -199,7 +199,7 @@ TEST_F(RuntimeTest, MemMoveGpuToGpuStagesThroughHost) {
   opts.mem_move = true;
   Edge edge(&system_, opts, group.instance_ptrs());
 
-  group.Start();
+  group.Start({});
   edge.AddProducer();
   const sim::MemNodeId gpu0 = system_.topology().gpu(0).mem;
   memory::Block* block = system_.blocks().Acquire(gpu0, gpu0);
@@ -247,7 +247,7 @@ TEST_F(RuntimeTest, SourceDriverSlicesChunksIntoBlocks) {
   Edge::Options opts;
   opts.policy = Edge::Policy::kRoundRobin;
   Edge edge(&system_, opts, group.instance_ptrs());
-  group.Start();
+  group.Start({});
   SourceDriver source(&system_, t, {0}, /*block_rows=*/128, &edge, 0.0);
   source.Start();
   source.Join();

@@ -40,14 +40,6 @@ TEST(MemoryManager, CapacityEnforced) {
   EXPECT_TRUE(mm.Allocate(64).ok());
 }
 
-TEST(MemoryManager, ModeledChargeWithoutAllocation) {
-  MemoryManager mm(0, 1000);
-  EXPECT_TRUE(mm.ChargeModeled(900).ok());
-  EXPECT_FALSE(mm.ChargeModeled(200).ok());
-  mm.ReleaseModeled(900);
-  EXPECT_EQ(mm.used(), 0u);
-}
-
 TEST(BlockManager, AcquireReleaseRecycles) {
   BlockManager bm(0, 4096, 4);
   EXPECT_EQ(bm.free_blocks(), 4u);

@@ -101,19 +101,6 @@ TEST(CardinalityTest, BuildSidesReflectFilteredRows) {
   }
 }
 
-TEST(PlanCosterTest, CostParamsAreTheSingleSourceOfTruth) {
-  // The planner stamps and the runtime simulation must price control-plane
-  // operators from one struct: CostModel's defaults are seeded from it.
-  const plan::CostParams params;
-  const sim::CostModel cm = sim::CostModel::Paper();
-  EXPECT_EQ(cm.router_init_latency, params.router_init_latency);
-  EXPECT_EQ(cm.router_control_cost, params.router_control_cost);
-  EXPECT_EQ(cm.segmenter_block_cost, params.segmenter_block_cost);
-  EXPECT_EQ(cm.task_spawn_latency, params.task_spawn_latency);
-  EXPECT_EQ(cm.dma_latency, params.dma_latency);
-  EXPECT_EQ(cm.kernel_launch_latency, params.kernel_launch_latency);
-}
-
 TEST(PlanCosterTest, BreakdownShapesMatchPlanShapes) {
   TestEnv env(10'000);
   const auto spec = env.ssb->Query(2, 1);

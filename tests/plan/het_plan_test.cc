@@ -162,14 +162,14 @@ TEST_F(HetPlanTest, StampsLoweringParameters) {
     switch (n.kind) {
       case HetOpNode::Kind::kRouter:
         ++routers;
-        EXPECT_GT(n.control_cost, 0.0);
-        EXPECT_GT(n.init_latency, 0.0);
+        EXPECT_EQ(n.control_cost, topo_.cost_model().router_control_cost);
+        EXPECT_EQ(n.init_latency, topo_.cost_model().router_init_latency);
         break;
       case HetOpNode::Kind::kSegmenter:
         ++segmenters;
         EXPECT_FALSE(n.table.empty());
         EXPECT_EQ(n.block_rows, 2048u);
-        EXPECT_GT(n.per_block_cost, 0.0);
+        EXPECT_EQ(n.per_block_cost, topo_.cost_model().segmenter_block_cost);
         break;
       case HetOpNode::Kind::kJoinBuild:
         EXPECT_EQ(n.join_id, 0);

@@ -176,13 +176,23 @@ TEST(DramServer, PerWorkerCapUntilSaturation) {
   EXPECT_EQ(dram.active_workers(), 0);
 }
 
+// The closed form a block takes when nothing overlaps its drain: its own
+// workers' fluid share, floored by compute (CostModel::WorkCost's arithmetic
+// on DramServer(45e9, 6e9)).
+VTime SoloEnd(int own_workers, double bytes, VTime compute, VTime earliest) {
+  const double share = 45e9 / own_workers;
+  const double rate = share < 6e9 ? share : 6e9;
+  const double drain = bytes / rate;
+  return earliest + (drain > compute ? drain : compute);
+}
+
 TEST(DramServer, SessionsSplitTheAggregate) {
   DramServer dram(45e9, 6e9);
   // Session 10 runs 6 workers alone: its divisor is its own count only, so a
-  // block takes the solo fast path.
+  // block ends at the closed form.
   const uint64_t a = dram.Register(10, /*start=*/0.0, 6);
-  VTime end = -1;
-  EXPECT_FALSE(dram.BlockEnd(10, 6, 3.75e9, /*compute=*/0.0, 3.0, &end));
+  EXPECT_EQ(dram.BlockEnd(10, 6, 3.75e9, /*compute=*/0.0, /*epoch=*/0.0, 3.0),
+            SoloEnd(6, 3.75e9, 0.0, 3.0));
   // Session 11 arrives at 2.5 with 6 more: each session now sees the other's
   // workers in its fluid-share divisor (6 own + 6 others = 45/12 each).
   const uint64_t b = dram.Register(11, /*start=*/2.5, 6);
@@ -190,13 +200,13 @@ TEST(DramServer, SessionsSplitTheAggregate) {
   EXPECT_EQ(dram.workers_overlapping(1.0), 6);
   EXPECT_EQ(dram.workers_overlapping(3.0), 12);
   EXPECT_DOUBLE_EQ(dram.EffectiveRate(), 45e9 / 12);
-  ASSERT_TRUE(dram.BlockEnd(10, 6, 3.75e9, 0.0, 3.0, &end));
-  EXPECT_DOUBLE_EQ(end, 4.0);  // 3.75 GB at 3.75 GB/s
-  ASSERT_TRUE(dram.BlockEnd(11, 6, 3.75e9, 0.0, 3.0, &end));
-  EXPECT_DOUBLE_EQ(end, 4.0);
+  // 3.75 GB at 3.75 GB/s.
+  EXPECT_DOUBLE_EQ(dram.BlockEnd(10, 6, 3.75e9, 0.0, 0.0, 3.0), 4.0);
+  EXPECT_DOUBLE_EQ(dram.BlockEnd(11, 6, 3.75e9, 0.0, 0.0, 3.0), 4.0);
   // Session 10 leaves: session 11 is alone again.
   dram.Release(a);
-  EXPECT_FALSE(dram.BlockEnd(11, 6, 3.75e9, 0.0, 3.0, &end));
+  EXPECT_EQ(dram.BlockEnd(11, 6, 3.75e9, 0.0, 0.0, 3.0),
+            SoloEnd(6, 3.75e9, 0.0, 3.0));
   EXPECT_EQ(dram.active_workers(), 6);
   dram.Release(b);
   EXPECT_EQ(dram.active_workers(), 0);
@@ -210,11 +220,9 @@ TEST(DramServer, OneSessionMayHoldSeveralRegistrations) {
   const uint64_t fact = dram.Register(7, 0.0, 4);
   EXPECT_EQ(dram.active_workers(), 6);
   EXPECT_EQ(dram.workers_overlapping(0.5), 6);
-  VTime end = -1;
-  EXPECT_FALSE(dram.BlockEnd(7, 6, 1e9, 0.0, 0.5, &end));
+  EXPECT_EQ(dram.BlockEnd(7, 6, 1e9, 0.0, 0.0, 0.5), SoloEnd(6, 1e9, 0.0, 0.5));
   // Another session sees all of them: 6 own + 6 others = 45/12 per worker.
-  ASSERT_TRUE(dram.BlockEnd(8, 6, 3.75e9, 0.0, 0.5, &end));
-  EXPECT_DOUBLE_EQ(end, 1.5);
+  EXPECT_DOUBLE_EQ(dram.BlockEnd(8, 6, 3.75e9, 0.0, 0.0, 0.5), 1.5);
   dram.Release(build);
   dram.Release(fact);
   EXPECT_EQ(dram.active_workers(), 0);
@@ -227,16 +235,29 @@ TEST(DramServer, OneSessionMayHoldSeveralRegistrations) {
 // ---------------------------------------------------------------------------
 
 TEST(DramServer, SoloBlockIsUncontended) {
-  // A session overlapping only its own open registration takes the solo fast
-  // path: BlockEnd returns false and the caller's closed-form divisor (its
-  // own worker count) applies bit-identically.
+  // A session overlapping only its own open registration ends its block at
+  // the closed form of its own worker count, bit for bit.
   DramServer dram(45e9, 6e9);
   const uint64_t own = dram.Register(/*session=*/1, /*start=*/0.0, 12);
-  VTime end = -1;
-  EXPECT_FALSE(dram.BlockEnd(/*session=*/1, /*own_workers=*/12,
-                             /*bytes=*/1e9, /*compute=*/0.0, /*start=*/0.5,
-                             &end));
+  EXPECT_EQ(dram.BlockEnd(/*session=*/1, /*own_workers=*/12, /*bytes=*/1e9,
+                          /*compute=*/0.0, /*epoch=*/0.0, /*earliest=*/0.5),
+            SoloEnd(12, 1e9, 0.0, 0.5));
   dram.Release(own, 2.0);
+}
+
+TEST(DramServer, SoloBlockIsTheClosedFormAtAnyEpoch) {
+  // The uncontended end is computed session-locally: the epoch only anchors
+  // the timeline lookups, so a solo block far out on the timeline still ends
+  // at exactly `earliest + max(bytes / rate, compute)`.
+  DramServer dram(45e9, 6e9);
+  const uint64_t past = dram.Register(/*session=*/1, /*start=*/0.0, 12);
+  dram.Release(past, 1.0);
+  const VTime epoch = 12345.678;
+  for (const VTime compute : {0.0, 0.01, 1.0}) {
+    EXPECT_EQ(dram.BlockEnd(/*session=*/2, 4, 3e8, compute, epoch, 0.3),
+              SoloEnd(4, 3e8, compute, 0.3));
+  }
+  EXPECT_EQ(dram.BlockEnd(2, 4, /*bytes=*/0.0, 0.25, epoch, 0.3), 0.3 + 0.25);
 }
 
 TEST(DramServer, StaggeredEpochSessionsDoNotShareADivisor) {
@@ -248,10 +269,9 @@ TEST(DramServer, StaggeredEpochSessionsDoNotShareADivisor) {
   DramServer dram(45e9, 6e9);
   const uint64_t t = dram.Register(/*session=*/1, /*start=*/0.0, 12);
   dram.Release(t, /*end=*/1.0);
-  VTime end = -1;
-  EXPECT_FALSE(dram.BlockEnd(/*session=*/2, /*own_workers=*/12,
-                             /*bytes=*/1e9, /*compute=*/0.0, /*start=*/5.0,
-                             &end));
+  EXPECT_EQ(dram.BlockEnd(/*session=*/2, /*own_workers=*/12, /*bytes=*/1e9,
+                          /*compute=*/0.0, /*epoch=*/0.0, /*earliest=*/5.0),
+            SoloEnd(12, 1e9, 0.0, 5.0));
   EXPECT_EQ(dram.workers_overlapping(5.0), 0);
   EXPECT_EQ(dram.workers_overlapping(0.5), 12);
 }
@@ -265,28 +285,41 @@ TEST(DramServer, ClosedIntervalChargesOverlappingSession) {
   DramServer dram(45e9, 6e9);
   const uint64_t t = dram.Register(/*session=*/1, /*start=*/0.0, 12);
   dram.Release(t, /*end=*/1.0);
-  VTime end = -1;
-  ASSERT_TRUE(dram.BlockEnd(/*session=*/2, /*own_workers=*/12,
-                            /*bytes=*/3.75e9, /*compute=*/0.0, /*start=*/0.0,
-                            &end));
-  EXPECT_DOUBLE_EQ(end, 1.5);
+  EXPECT_DOUBLE_EQ(dram.BlockEnd(/*session=*/2, /*own_workers=*/12,
+                                 /*bytes=*/3.75e9, /*compute=*/0.0,
+                                 /*epoch=*/0.0, /*earliest=*/0.0),
+                   1.5);
   // Compute floors the block end when it dominates the drain.
-  ASSERT_TRUE(dram.BlockEnd(2, 12, 3.75e9, /*compute=*/10.0, 0.0, &end));
-  EXPECT_DOUBLE_EQ(end, 10.0);
+  EXPECT_DOUBLE_EQ(dram.BlockEnd(2, 12, 3.75e9, /*compute=*/10.0, 0.0, 0.0),
+                   10.0);
+  // The same block of a session anchored at epoch 0.25 (session-local
+  // earliest 0) overlaps only [0.25, 1): 0.75 s drains 1.40625 GB, the
+  // remaining 2.34375 GB takes 0.625 s -> session-local end 1.375.
+  EXPECT_DOUBLE_EQ(dram.BlockEnd(2, 12, 3.75e9, 0.0, /*epoch=*/0.25, 0.0),
+                   1.375);
+}
+
+TEST(DramServer, LaterOpenPhaseOfAnotherSessionSplitsTheDrain) {
+  // Session 8's phase opens at 1.0 while session 7's block drains from 0: the
+  // open start is a span boundary. [0, 1) runs solo at min(6, 45/6) = 6 GB/s
+  // (6 GB), the remaining 1.5 GB shares min(6, 45/12) = 3.75 GB/s -> 0.4 s.
+  DramServer dram(45e9, 6e9);
+  const uint64_t other = dram.Register(/*session=*/8, /*start=*/1.0, 6);
+  EXPECT_DOUBLE_EQ(dram.BlockEnd(/*session=*/7, 6, 7.5e9, 0.0, 0.0, 0.0), 1.4);
+  dram.Release(other);
 }
 
 TEST(DramServer, DiscardedRegistrationLeavesNoResidue) {
   // Release without an end time (error paths, phantom test registrations)
-  // closes the interval at its own start: no trace on the timeline, and
-  // later sessions anchored anywhere see an idle socket.
+  // drops the phase: no trace on the timeline, and later sessions anchored
+  // anywhere see an idle socket.
   DramServer dram(45e9, 6e9);
   const uint64_t t = dram.Register(/*session=*/1, /*start=*/0.0, 12);
   EXPECT_EQ(dram.workers_overlapping(100.0), 12);  // open-ended while held
   dram.Release(t);
   EXPECT_EQ(dram.workers_overlapping(0.0), 0);
   EXPECT_EQ(dram.num_segments(), 0u);
-  VTime end = -1;
-  EXPECT_FALSE(dram.BlockEnd(2, 12, 1e9, 0.0, 0.0, &end));
+  EXPECT_EQ(dram.BlockEnd(2, 12, 1e9, 0.0, 0.0, 0.0), SoloEnd(12, 1e9, 0.0, 0.0));
   EXPECT_DOUBLE_EQ(dram.horizon(), 0.0);
 }
 
@@ -298,8 +331,14 @@ TEST(DramServer, HorizonCoversClosedIntervals) {
   dram.Release(b, 4.0);
   EXPECT_DOUBLE_EQ(dram.horizon(), 4.0);
   // A session anchored at the horizon overlaps nothing.
-  VTime end = -1;
-  EXPECT_FALSE(dram.BlockEnd(3, 4, 1e9, 0.0, dram.horizon(), &end));
+  EXPECT_EQ(dram.BlockEnd(3, 4, 1e9, 0.0, dram.horizon(), 0.0),
+            SoloEnd(4, 1e9, 0.0, 0.0));
+  // An open phase's start counts toward the horizon; closing it at its start
+  // leaves nothing behind.
+  const uint64_t c = dram.Register(3, 6.0, 4);
+  EXPECT_DOUBLE_EQ(dram.horizon(), 6.0);
+  dram.Release(c, 6.0);
+  EXPECT_DOUBLE_EQ(dram.horizon(), 4.0);
 }
 
 TEST(DramServer, OwnOpenIntervalExcludedOthersCharged) {
@@ -309,13 +348,27 @@ TEST(DramServer, OwnOpenIntervalExcludedOthersCharged) {
   DramServer dram(45e9, 6e9);
   const uint64_t own = dram.Register(/*session=*/7, /*start=*/0.0, 6);
   const uint64_t other = dram.Register(/*session=*/8, /*start=*/0.0, 6);
-  VTime end = -1;
-  ASSERT_TRUE(dram.BlockEnd(/*session=*/7, /*own_workers=*/6,
-                            /*bytes=*/3.75e9, /*compute=*/0.0, /*start=*/0.0,
-                            &end));
-  EXPECT_DOUBLE_EQ(end, 1.0);
+  EXPECT_DOUBLE_EQ(dram.BlockEnd(/*session=*/7, /*own_workers=*/6,
+                                 /*bytes=*/3.75e9, /*compute=*/0.0,
+                                 /*epoch=*/0.0, /*earliest=*/0.0),
+                   1.0);
   dram.Release(own, 1.0);
   dram.Release(other, 1.0);
+}
+
+TEST(DramServer, GenerationCountsTwoPerWorkerBearingPhase) {
+  DramServer dram(45e9, 6e9);
+  const uint64_t before = dram.generation();
+  const uint64_t closed = dram.Register(1, 0.0, 4);
+  dram.Release(closed, 1.0);
+  const uint64_t idle = dram.Register(1, 0.0, 0);  // no workers: no phase
+  dram.Release(idle, 1.0);
+  const uint64_t discarded = dram.Register(2, 0.5, 3);
+  dram.Release(discarded);
+  dram.Release(discarded);  // already gone: no effect
+  EXPECT_EQ(dram.generation() - before, 4u);
+  EXPECT_EQ(dram.workers_overlapping(0.5), 4);  // only the closed phase
+  EXPECT_DOUBLE_EQ(dram.horizon(), 1.0);
 }
 
 TEST(DramServer, ConcurrentRegisterReleaseAndBlockEnd) {
@@ -329,8 +382,7 @@ TEST(DramServer, ConcurrentRegisterReleaseAndBlockEnd) {
         const VTime start = 0.01 * i;
         const uint64_t t =
             dram.Register(static_cast<uint64_t>(s), start, 1 + s);
-        VTime end = -1;
-        dram.BlockEnd(static_cast<uint64_t>(s), 1 + s, 1e6, 0.0, start, &end);
+        dram.BlockEnd(static_cast<uint64_t>(s), 1 + s, 1e6, 0.0, 0.0, start);
         dram.Release(t, start + 0.005);
       }
     });

@@ -33,21 +33,9 @@ TEST(IntervalTimeline, OverlapsSumTheirWeights) {
   EXPECT_EQ(tl.At(6.0).level, 0);
 }
 
-TEST(IntervalTimeline, OpenIntervalClosedByNegativeAdd) {
+TEST(IntervalTimeline, EmptyIntervalLeavesNoTrace) {
   IntervalTimeline tl;
-  tl.Add(1.0, kInf, 3);  // open: a phase still being modeled
-  EXPECT_EQ(tl.At(100.0).level, 3);
-  tl.Add(5.0, kInf, -3);  // close at 5: the interval [1, 5) persists
-  EXPECT_EQ(tl.At(2.0).level, 3);
-  EXPECT_DOUBLE_EQ(tl.At(2.0).until, 5.0);
-  EXPECT_EQ(tl.At(5.0).level, 0);
-  EXPECT_DOUBLE_EQ(tl.horizon(), 5.0);
-}
-
-TEST(IntervalTimeline, FullCancellationLeavesNoTrace) {
-  IntervalTimeline tl;
-  tl.Add(1.0, kInf, 2);
-  tl.Add(1.0, kInf, -2);  // discarded at its own start
+  tl.Add(1.0, 1.0, 2);  // a phase closed at its own start
   EXPECT_EQ(tl.num_segments(), 0u);
   EXPECT_EQ(tl.At(1.0).level, 0);
   EXPECT_DOUBLE_EQ(tl.horizon(), 0.0);
@@ -86,10 +74,11 @@ TEST(IntervalTimeline, FirstFitFindsEarliestGap) {
   EXPECT_DOUBLE_EQ(tl.FirstFit(0.25, 2.25), 2.25);  // inside the middle gap
 }
 
-TEST(IntervalTimeline, FirstFitOnForeverBusyTimelineReturnsOpenEnd) {
+TEST(IntervalTimeline, FirstFitPastTheLastBoundaryIsFree) {
   IntervalTimeline tl;
-  tl.Add(0.0, kInf, 1);
-  EXPECT_EQ(tl.FirstFit(1.0, 0.0), kInf);
+  tl.Add(0.0, 5.0, 3);
+  EXPECT_DOUBLE_EQ(tl.FirstFit(100.0, 1.0), 5.0);
+  EXPECT_DOUBLE_EQ(tl.FirstFit(kInf, 1.0), 5.0);
 }
 
 TEST(IntervalTimeline, BoundKeepsSegmentCountCapped) {
