@@ -179,15 +179,16 @@ class SsbBenchEnv {
 ///         "ok": <int>,                // sessions that completed OK
 ///         "achieved_qps": <qps>,      // ok / virtual-time makespan
 ///         "p99_latency_s": <s>,       // queue wait + modeled latency p99
-///         "dram_segments": <uint>,    // live System max socket-timeline size
+///         "peak_segments": <uint>,    // max timeline size seen at a completion
+///         "drained_segments": <uint>, // max timeline size after the drain
 ///         "solo_closed_form": <bool>, // horizon-anchored block == closed form
 ///         "wall_s": <s>               // host wall clock (diagnostic only)
 ///       }, ...
 ///     ],
 ///     "timeline": [                   // bare IntervalTimeline sweep at
 ///       {                             // constant boundary density
-///         "cap": <uint>,              // Bound() cap: 4096, 16384, 65536
-///         "segments": <uint>,         // boundaries held after the timed loop
+///         "boundaries": <uint>,       // prefill n: 4096, 16384, 65536
+///         "segments": <uint>,         // fewest boundaries after a prefill
 ///         "ns_per_cycle": <ns>        // one closed Add + its span walk
 ///       }, ...
 ///     ],
@@ -197,11 +198,12 @@ class SsbBenchEnv {
 ///   }
 ///
 /// `--check` gates (exit nonzero + "CHECK FAILED:" on stderr): every session
-/// completes, the live DRAM timelines stay under their 4096-segment cap, every
-/// level's horizon-anchored block equals the solo closed form bit for bit,
-/// solo_parity_ok, every timeline level holds exactly its cap (so the sweep
-/// measures timeline size, not the cap), and ns_ratio <= 3 — a reservation's
-/// cost grows at most logarithmically as the timeline grows 16x.
+/// completes, every link, stream and DRAM timeline holds 0 boundaries once a
+/// level drains (drained_segments == 0), every level's horizon-anchored block
+/// equals the solo closed form bit for bit, solo_parity_ok, every timeline
+/// level holds at least its n boundaries, and ns_ratio <= 3 — a
+/// reservation's cost grows at most logarithmically as the timeline grows
+/// 16x.
 
 /// Registers a 1-iteration manual-time benchmark whose reported time is the
 /// *modeled* latency on the simulated paper server.

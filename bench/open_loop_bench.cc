@@ -60,6 +60,10 @@ struct LegStats {
   int shared_builds = 0;
   int shared_attaches = 0;
   double share_attach_rate = 0;  ///< attaches / (builds + attaches)
+  /// Largest link/stream/DRAM timeline seen at a completion: the System drops
+  /// history only when the scheduler drains, so a trace that keeps it busy
+  /// keeps every interval until then.
+  size_t peak_segments = 0;
   double wall_s = 0;
   bool parity_ok = true;
 };
@@ -144,6 +148,7 @@ LegStats RunLeg(const std::string& name, core::ReuseOptions reuse, bool steer,
     last_end = std::max(last_end, r.session_epoch + r.modeled_seconds);
     latencies.push_back(r.queue_wait + r.modeled_seconds);
     wait_sum += r.queue_wait;
+    leg.peak_segments = std::max(leg.peak_segments, system.MaxTimelineSegments());
     if (r.rows != reference[static_cast<size_t>(draws[qi])]) {
       leg.parity_ok = false;
       std::fprintf(stderr, "PARITY FAILURE: leg %s query %zu (%s) diverges\n",
@@ -261,10 +266,11 @@ int main(int argc, char** argv) {
         "\"p50_latency_s\": %.6f, \"p99_latency_s\": %.6f, "
         "\"mean_queue_wait_s\": %.6f, \"cache_hit_rate\": %.4f, "
         "\"shared_builds\": %d, \"shared_attaches\": %d, "
-        "\"share_attach_rate\": %.4f, \"wall_s\": %.3f, \"parity_ok\": %s}%s\n",
+        "\"share_attach_rate\": %.4f, \"peak_segments\": %zu, "
+        "\"wall_s\": %.3f, \"parity_ok\": %s}%s\n",
         l.name.c_str(), l.ok, l.achieved_qps, l.p50_latency_s, l.p99_latency_s,
         l.mean_queue_wait_s, l.cache_hit_rate, l.shared_builds,
-        l.shared_attaches, l.share_attach_rate, l.wall_s,
+        l.shared_attaches, l.share_attach_rate, l.peak_segments, l.wall_s,
         l.parity_ok ? "true" : "false", i + 1 < legs.size() ? "," : "");
   }
   std::printf("  ]\n}\n");

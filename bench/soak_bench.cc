@@ -2,20 +2,23 @@
 //
 //   served   — sweeps 64/128/256 in-flight sessions from an SSB mix through
 //              the concurrent scheduler at a fixed offered load (Poisson
-//              arrivals), all into ONE long-lived System, so the per-socket
-//              DRAM timelines accumulate hundreds of closed execution-phase
-//              intervals. Reports achieved qps, p99 latency and the live DRAM
-//              segment count per level, and checks after each level that a
-//              fresh session anchored at each socket's horizon prices a block
-//              at exactly the solo closed form
+//              arrivals), all into ONE long-lived System. While a level's
+//              busy period runs, the link, stream and DRAM timelines
+//              accumulate its closed intervals; once it drains, the System
+//              drops that history. Reports achieved qps, p99 latency, the
+//              peak timeline size during the level and the size after it,
+//              and checks after each level that every timeline is empty and
+//              that a fresh session anchored at each socket's horizon prices
+//              a block at exactly the solo closed form
 //              `earliest + max(bytes / rate, compute)` — bit for bit.
-//   timeline — sweeps a bare sim::IntervalTimeline capped at 4k/16k/64k
-//              segments at constant boundary density: each cycle adds one
+//   timeline — sweeps a bare sim::IntervalTimeline prefilled with 4k/16k/64k
+//              boundaries at constant boundary density: each cycle adds one
 //              closed interval over a fixed number of boundaries near the
 //              moving end of the timeline and walks its spans the way
-//              DramServer::BlockEnd does. The Bound() cap keeps every level
-//              at its segment count, so ns/cycle across the sweep measures
-//              how one reservation scales with the timeline size.
+//              DramServer::BlockEnd does. Each round clears the timeline,
+//              prefills it and times n/16 cycles, so every timed cycle sees
+//              between n and 1.125 n boundaries and ns/cycle across the sweep
+//              measures how one reservation scales with the timeline size.
 //
 // Usage:
 //   bench_soak_bench [--check] [--rows R] [--seed S] [--max-concurrent C]
@@ -26,9 +29,9 @@
 // match pre-soak within 1e-4 relative (the engine has pre-existing
 // run-to-run jitter of ~2e-6 relative from thread-completion-order block
 // distribution, while any real contention leak shifts latency by >= 1e-1
-// relative), the live timelines stay under their 4096-segment cap, every
-// timeline level reaches its segment count, and ns/cycle at 64k segments is
-// <= 3x the 4k figure.
+// relative), every link, stream and DRAM timeline holds 0 boundaries after
+// each level drains, every timeline level holds at least its n boundaries,
+// and ns/cycle at 64k boundaries is <= 3x the 4k figure.
 
 #include <algorithm>
 #include <chrono>
@@ -53,47 +56,56 @@ namespace {
 const std::vector<std::pair<int, int>> kPool = {{1, 1}, {2, 1}, {3, 1}, {4, 1}};
 
 constexpr int kLevels[] = {64, 128, 256};
-constexpr size_t kTimelineCaps[] = {4096, 16384, 65536};
+constexpr size_t kTimelineSizes[] = {4096, 16384, 65536};
 
 struct TimelineStats {
-  size_t cap = 0;
+  size_t boundaries = 0;
   size_t segments = 0;
   double ns_per_cycle = 0;
 };
 
 // One cycle = what a CPU execution phase costs its socket's timeline: add the
-// closed phase interval and walk the spans one block drains across. Boundaries
-// sit `dt` apart on average at every cap; each interval covers 8 of them, and
-// starts land in the newest half of the timeline while its end moves forward
-// by 2 dt a cycle — so every cycle adds two boundaries and Bound() absorbs
-// two at the front, holding the timeline at its cap.
-TimelineStats RunTimeline(size_t cap, int cycles, uint64_t seed) {
+// closed phase interval and walk the spans one block drains across. Each round
+// prefills `n` boundaries `dt` apart into a cleared timeline and times n/16
+// cycles. Each cycle's interval covers 8 boundaries and starts in the newest
+// half of the timeline while its end moves forward by 2 dt a cycle, so every
+// cycle adds two boundaries: a timed cycle sees between n and 1.125 n.
+TimelineStats RunTimeline(size_t n, int cycles, uint64_t seed) {
   constexpr double dt = 1e-6;
-  sim::IntervalTimeline tl(cap);
-  for (size_t i = 0; i < cap / 2; ++i) {
-    tl.Add(static_cast<double>(2 * i) * dt, static_cast<double>(2 * i + 1) * dt, 1);
-  }
+  const int per_round = static_cast<int>(n / 16);
+  const double window = static_cast<double>(n / 2) * dt;
+  sim::IntervalTimeline tl;
   Rng rng(seed);
-  double now = static_cast<double>(cap) * dt;
-  const double window = static_cast<double>(cap / 2) * dt;
   int spans = 0;  // keeps the walk observable to the optimizer
-  auto cycle = [&] {
-    now += 2 * dt;
-    const sim::VTime start = now - window + rng.NextDouble() * (window - 8 * dt);
-    const sim::VTime end = start + 8 * dt;
-    tl.Add(start, end, 1 + static_cast<int>(rng.Uniform(4)));
-    for (sim::VTime t = start; t < end; t = tl.At(t).until) ++spans;
-  };
-  for (size_t i = 0; i < cap / 2; ++i) cycle();  // turn the prefill over once
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < cycles; ++i) cycle();
-  const auto t1 = std::chrono::steady_clock::now();
-  HETEX_CHECK(spans > 0);
+  int timed = 0;
+  double elapsed_ns = 0;
   TimelineStats out;
-  out.cap = cap;
-  out.segments = tl.num_segments();
-  out.ns_per_cycle =
-      std::chrono::duration<double, std::nano>(t1 - t0).count() / cycles;
+  out.boundaries = n;
+  out.segments = n;
+  while (timed < cycles) {
+    tl.Clear();
+    for (size_t i = 0; i < n / 2; ++i) {
+      tl.Add(static_cast<double>(2 * i) * dt,
+             static_cast<double>(2 * i + 1) * dt, 1);
+    }
+    out.segments = std::min(out.segments, tl.num_segments());
+    double now = static_cast<double>(n) * dt;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < per_round; ++i) {
+      now += 2 * dt;
+      const sim::VTime start =
+          now - window + rng.NextDouble() * (window - 8 * dt);
+      const sim::VTime end = start + 8 * dt;
+      tl.Add(start, end, 1 + static_cast<int>(rng.Uniform(4)));
+      for (sim::VTime t = start; t < end; t = tl.At(t).until) ++spans;
+    }
+    elapsed_ns += std::chrono::duration<double, std::nano>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+    timed += per_round;
+  }
+  HETEX_CHECK(spans > 0);
+  out.ns_per_cycle = elapsed_ns / timed;
   return out;
 }
 
@@ -134,15 +146,6 @@ core::System::Options SystemOptions() {
   return opts;
 }
 
-size_t MaxDramSegments(core::System* system) {
-  size_t m = 0;
-  const sim::Topology& topo = system->topology();
-  for (int s = 0; s < topo.num_sockets(); ++s) {
-    m = std::max(m, topo.socket_dram(s).num_segments());
-  }
-  return m;
-}
-
 double Percentile(std::vector<double> v, double p) {
   if (v.empty()) return 0;
   std::sort(v.begin(), v.end());
@@ -155,7 +158,8 @@ struct LevelStats {
   int ok = 0;
   double achieved_qps = 0;
   double p99_latency_s = 0;
-  size_t dram_segments = 0;
+  size_t peak_segments = 0;
+  size_t drained_segments = 0;
   bool solo_closed_form = false;
   double wall_s = 0;
 };
@@ -195,6 +199,8 @@ LevelStats RunLevel(core::System* system, const std::vector<plan::QuerySpec>& po
     first = false;
     last_end = std::max(last_end, r.session_epoch + r.modeled_seconds);
     latencies.push_back(r.queue_wait + r.modeled_seconds);
+    level.peak_segments =
+        std::max(level.peak_segments, system->MaxTimelineSegments());
   }
   level.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                                wall_start)
@@ -203,7 +209,7 @@ LevelStats RunLevel(core::System* system, const std::vector<plan::QuerySpec>& po
   level.achieved_qps =
       makespan > 0 ? static_cast<double>(level.ok) / makespan : 0;
   level.p99_latency_s = Percentile(latencies, 0.99);
-  level.dram_segments = MaxDramSegments(system);
+  level.drained_segments = system->MaxTimelineSegments();
   level.solo_closed_form = SoloBlockIsClosedForm(system);
   return level;
 }
@@ -251,8 +257,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // One System for the whole sweep: every level's sessions pile more closed
-  // intervals onto the same per-socket timelines before the next level runs.
+  // One System for the whole sweep: every level's sessions reserve on the
+  // same links, streams and socket timelines the previous levels used.
   core::System system(SystemOptions());
   ssb::Ssb::Options ssb_opts;
   ssb_opts.lineorder_rows = rows;
@@ -280,8 +286,8 @@ int main(int argc, char** argv) {
                               offered_qps, seed + static_cast<uint64_t>(sessions)));
   }
 
-  // Post-soak solo parity: a fresh session anchors past every accumulated
-  // interval, so its latencies must match the pre-soak run up to the engine's
+  // Post-soak solo parity: a fresh session anchors at the horizon, past
+  // every interval the levels reserved, so its latencies must match the pre-soak run up to the engine's
   // pre-existing scheduling jitter (~2e-6 relative; see the header comment).
   // The bit-exact half of the claim is the per-level closed-form check.
   const std::vector<double> solo_after = SoloLatencies(&system, pool);
@@ -294,8 +300,8 @@ int main(int argc, char** argv) {
   const bool solo_parity = solo_max_rel_dev <= 1e-4;
 
   std::vector<TimelineStats> timeline;
-  for (size_t cap : kTimelineCaps) {
-    timeline.push_back(RunTimeline(cap, cycles, seed ^ cap));
+  for (size_t n : kTimelineSizes) {
+    timeline.push_back(RunTimeline(n, cycles, seed ^ n));
   }
   const double ns_lo = timeline.front().ns_per_cycle;
   const double ns_hi = timeline.back().ns_per_cycle;
@@ -310,17 +316,20 @@ int main(int argc, char** argv) {
     const LevelStats& l = levels[i];
     std::printf(
         "    {\"sessions\": %d, \"ok\": %d, \"achieved_qps\": %.2f, "
-        "\"p99_latency_s\": %.6f, \"dram_segments\": %zu, "
-        "\"solo_closed_form\": %s, \"wall_s\": %.3f}%s\n",
-        l.sessions, l.ok, l.achieved_qps, l.p99_latency_s, l.dram_segments,
+        "\"p99_latency_s\": %.6f, \"peak_segments\": %zu, "
+        "\"drained_segments\": %zu, \"solo_closed_form\": %s, "
+        "\"wall_s\": %.3f}%s\n",
+        l.sessions, l.ok, l.achieved_qps, l.p99_latency_s, l.peak_segments,
+        l.drained_segments,
         l.solo_closed_form ? "true" : "false", l.wall_s,
         i + 1 < levels.size() ? "," : "");
   }
   std::printf("  ],\n  \"timeline\": [\n");
   for (size_t i = 0; i < timeline.size(); ++i) {
     const TimelineStats& t = timeline[i];
-    std::printf("    {\"cap\": %zu, \"segments\": %zu, \"ns_per_cycle\": %.1f}%s\n",
-                t.cap, t.segments, t.ns_per_cycle,
+    std::printf("    {\"boundaries\": %zu, \"segments\": %zu, "
+                "\"ns_per_cycle\": %.1f}%s\n",
+                t.boundaries, t.segments, t.ns_per_cycle,
                 i + 1 < timeline.size() ? "," : "");
   }
   std::printf("  ],\n  \"ns_ratio\": %.2f,\n"
@@ -334,11 +343,11 @@ int main(int argc, char** argv) {
                      l.sessions, l.ok, l.sessions);
         return 1;
       }
-      if (l.dram_segments > 4096) {
+      if (l.drained_segments != 0) {
         std::fprintf(stderr,
-                     "CHECK FAILED: level %d DRAM segment count %zu escaped "
-                     "the 4096 cap\n",
-                     l.sessions, l.dram_segments);
+                     "CHECK FAILED: level %d left %zu timeline boundaries "
+                     "after it drained\n",
+                     l.sessions, l.drained_segments);
         return 1;
       }
       if (!l.solo_closed_form) {
@@ -357,11 +366,11 @@ int main(int argc, char** argv) {
       return 1;
     }
     for (const TimelineStats& t : timeline) {
-      if (t.segments != t.cap) {
+      if (t.segments < t.boundaries) {
         std::fprintf(stderr,
-                     "CHECK FAILED: timeline level %zu held %zu segments, so "
-                     "it did not measure its size\n",
-                     t.cap, t.segments);
+                     "CHECK FAILED: timeline level %zu held %zu boundaries, "
+                     "so it did not measure its size\n",
+                     t.boundaries, t.segments);
         return 1;
       }
     }
@@ -369,16 +378,19 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "CHECK FAILED: ns/cycle grows with the timeline "
                    "(%.1f ns at %zu segments vs %.1f ns at %zu, ratio %.2f > 3)\n",
-                   ns_hi, timeline.back().cap, ns_lo, timeline.front().cap,
+                   ns_hi, timeline.back().boundaries, ns_lo,
+                   timeline.front().boundaries,
                    ns_ratio);
       return 1;
     }
     std::fprintf(stderr,
-                 "check ok: %d/%d/%d sessions, solo blocks at the closed form, "
-                 "solo latencies within %.3g of pre-soak; ns/cycle %.0f -> "
-                 "%.0f over %zu -> %zu segments (ratio %.2f)\n",
+                 "check ok: %d/%d/%d sessions, timelines empty after each "
+                 "level, solo blocks at the closed form, solo latencies "
+                 "within %.3g of pre-soak; ns/cycle %.0f -> %.0f over %zu -> "
+                 "%zu boundaries (ratio %.2f)\n",
                  kLevels[0], kLevels[1], kLevels[2], solo_max_rel_dev, ns_lo,
-                 ns_hi, timeline.front().cap, timeline.back().cap, ns_ratio);
+                 ns_hi, timeline.front().boundaries, timeline.back().boundaries,
+                 ns_ratio);
   }
   return 0;
 }

@@ -98,10 +98,10 @@ void PrintFabricJson(const sim::Topology& topo, sim::VTime epoch) {
   for (int s = 0; s < topo.num_sockets(); ++s) {
     const auto& sock = topo.socket(s);
     std::printf("%s\n  {\"id\": %d, \"cores\": %d, \"mem_node\": %d, "
-                "\"dram_gbps\": %.3f, \"active_workers\": %d}",
+                "\"dram_gbps\": %.3f, \"backlog_workers\": %d}",
                 s == 0 ? "" : ",", sock.id, sock.num_cores, sock.mem,
                 topo.socket_dram(s).total_rate() / 1e9,
-                topo.socket_dram(s).active_workers());
+                topo.socket_dram(s).workers_overlapping(epoch));
   }
   std::printf("\n],\n\"gpus\": [");
   for (int g = 0; g < topo.num_gpus(); ++g) {

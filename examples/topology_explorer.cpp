@@ -3,6 +3,7 @@
 // socket bandwidth saturation — the primitives the HetExchange cost shapes are
 // built from.
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -55,16 +56,16 @@ int main() {
   }
 
   // --- Socket bandwidth fluid share: per-worker rate vs number of active
-  // workers (the Fig. 6/7 scalability mechanism). Workers register through
-  // the cross-session DRAM server, one registration per query session here.
+  // workers (the Fig. 6/7 scalability mechanism): each worker streams at
+  // min(per-worker cap, socket aggregate / workers), as DramServer prices it.
   {
     std::printf("\nsocket0 DRAM fluid share (per-worker GB/s):\n");
-    sim::DramServer& dram = topo.socket_dram(0);
+    const sim::DramServer& dram = topo.socket_dram(0);
     for (int n = 1; n <= 16; n *= 2) {
-      const uint64_t token = dram.Register(/*session=*/1, /*epoch=*/0.0, n);
+      const double rate =
+          std::min(dram.per_worker_rate(), dram.total_rate() / n);
       std::printf("  %2d active -> %.2f GB/s each (%.1f aggregate)\n", n,
-                  dram.EffectiveRate() / 1e9, n * dram.EffectiveRate() / 1e9);
-      dram.Release(token);
+                  rate / 1e9, n * rate / 1e9);
     }
   }
   return 0;

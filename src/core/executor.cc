@@ -90,9 +90,14 @@ QueryResult QueryExecutor::ExecutePlan(const plan::QuerySpec& spec,
                                        const plan::HetPlan& plan) {
   // Solo session: a fresh id and an epoch past every shared-resource backlog,
   // so the query sees an idle server (the session-scoped equivalent of the old
-  // rewind-all-clocks reset — but safe with other queries in flight).
-  const QuerySession session{system_->NextQueryId(), system_->VirtualHorizon()};
-  return ExecutePlan(spec, plan, session);
+  // rewind-all-clocks reset — but safe with other queries in flight). The
+  // epoch is read and held in one step: a concurrent session dropping the
+  // history in between could otherwise raise the watermark past it.
+  const QuerySession session{system_->NextQueryId(),
+                             system_->HoldHistoryAtHorizon()};
+  QueryResult result = ExecutePlan(spec, plan, session);
+  system_->ReleaseHistory();
+  return result;
 }
 
 QueryResult QueryExecutor::ExecutePlan(const plan::QuerySpec& spec,

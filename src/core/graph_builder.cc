@@ -209,8 +209,9 @@ struct RuntimeStage {
 /// Reserves one execution phase's concurrently-active CPU workers (per
 /// socket) as an interval on the cross-session DRAM timelines: the interval
 /// opens at the phase's session-local `start` and closes at the modeled end
-/// passed to Close(). Closed intervals persist, so any session overlapping
-/// this phase *in virtual time* divides its fluid share by these workers —
+/// passed to Close(). A closed interval stays on the timeline while any
+/// session holds its history, so any session overlapping this phase *in
+/// virtual time* divides its fluid share by these workers —
 /// and this query's own shares divide by theirs (see sim::DramServer). If the
 /// phase errors out before Close(), the destructor discards the reservation
 /// (a phase that never modeled work must not charge future sessions).
@@ -306,10 +307,20 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
   // The session anchors this query on the shared virtual timeline: its epoch
   // offsets every reservation on contended resources (PCIe links, GPU
   // streams), its id namespaces the hash tables in the System-shared registry.
-  const QuerySession session =
-      session_ != nullptr
-          ? *session_
-          : QuerySession{system_->NextQueryId(), system_->VirtualHorizon()};
+  // It holds the timelines' history from its epoch on before its first
+  // reservation; a refused hold returns before anything is created.
+  QuerySession session;
+  if (session_ != nullptr) {
+    session = *session_;
+    HETEX_RETURN_NOT_OK(system_->HoldHistory(session.epoch));
+  } else {
+    session = {system_->NextQueryId(), system_->HoldHistoryAtHorizon()};
+  }
+  // Declared first, so released after every DRAM phase below has closed.
+  struct HistoryGuard {
+    System* system;
+    ~HistoryGuard() { system->ReleaseHistory(); }
+  } history_guard{system_};
   HtRegistry& hts = system_->hts();
   // The namespace only lives for the run; release it on every exit path.
   struct HtNamespaceGuard {
@@ -522,7 +533,7 @@ Status GraphBuilder::Run(QueryCompiler* compiler, QueryResult* result) {
 
   // The build phase's DRAM interval opens at the modeled build start; it is
   // closed (not discarded) once the probe watermark is known, so the interval
-  // [init_clock, probe_start) stays on the timeline for later sessions.
+  // [init_clock, probe_start) stays on the timeline for overlapping sessions.
   DramPhaseGuard build_dram(&system_->topology(), session, exec_builds,
                             init_clock);
   {

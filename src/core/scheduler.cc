@@ -76,7 +76,9 @@ QueryHandle QueryScheduler::Submit(const plan::QuerySpec& spec,
       // queries of this period see a fresh server, the session-scoped
       // analogue of the old global reset. Completion-triggered admissions
       // stay inside the running period so their queue wait is measured.
-      workload_base_ = sim::MaxT(system_->VirtualHorizon(), clock_floor_);
+      // The busy period holds the timelines' history until it drains.
+      workload_base_ =
+          sim::MaxT(system_->HoldHistoryAtHorizon(), clock_floor_);
     }
     waiting_.push_back(task.get());
     tasks_[task->id] = std::move(task);
@@ -109,6 +111,10 @@ void QueryScheduler::AdmitLocked(sim::VTime slot_freed_at) {
     const QuerySession session{task->id, start, &task->control};
     task->worker = std::thread([this, task, session] { RunTask(task, session); });
   }
+}
+
+void QueryScheduler::ReleaseIfIdleLocked() {
+  if (active_ == 0 && waiting_.empty()) system_->ReleaseHistory();
 }
 
 void QueryScheduler::RunTask(Task* task, QuerySession session) {
@@ -306,6 +312,7 @@ void QueryScheduler::RunTask(Task* task, QuerySession session) {
     --active_;
     reserved_blocks_ -= task->budget;
     AdmitLocked(freed_at);
+    ReleaseIfIdleLocked();
   }
   // After the notify the waiter may free the task; touch nothing of it here.
   done_cv_.notify_all();
@@ -360,6 +367,7 @@ Status QueryScheduler::Cancel(QueryHandle handle) {
     task->result.arrival_offset = task->opts.arrival_offset;
     task->done = true;
     AdmitLocked(/*slot_freed_at=*/-1.0);
+    ReleaseIfIdleLocked();
     done_cv_.notify_all();
     return Status::OK();
   }

@@ -125,6 +125,9 @@ class QueryScheduler {
   /// into already-free capacity, which starts at the query's own arrival.
   void AdmitLocked(sim::VTime slot_freed_at);
   void RunTask(Task* task, QuerySession session);
+  /// Ends the busy period's history hold once nothing runs or waits. Caller
+  /// holds mu_.
+  void ReleaseIfIdleLocked();
 
   System* system_;
   Options options_;

@@ -1,5 +1,9 @@
 #include "core/system.h"
 
+#include <algorithm>
+#include <iomanip>
+#include <sstream>
+
 namespace hetex::core {
 
 System::System() : System(Options{}) {}
@@ -50,6 +54,46 @@ std::vector<int> System::AvailableGpusAt(sim::VTime t,
     if (!excluded && fault_.GpuAvailableAt(g, t)) out.push_back(g);
   }
   return out;
+}
+
+Status System::HoldHistory(sim::VTime epoch) {
+  std::lock_guard<std::mutex> lock(history_mu_);
+  if (epoch < history_watermark_) {
+    std::ostringstream os;
+    os << std::setprecision(17) << "epoch " << epoch
+       << " lies below the timeline watermark " << history_watermark_
+       << ": the history it would read was dropped";
+    return Status::InvalidArgument(os.str());
+  }
+  ++history_holds_;
+  return Status::OK();
+}
+
+sim::VTime System::HoldHistoryAtHorizon() {
+  std::lock_guard<std::mutex> lock(history_mu_);
+  ++history_holds_;
+  return VirtualHorizon();
+}
+
+void System::ReleaseHistory() {
+  std::lock_guard<std::mutex> lock(history_mu_);
+  HETEX_CHECK(history_holds_ > 0) << "history released without a hold";
+  if (--history_holds_ > 0) return;
+  history_watermark_ = VirtualHorizon();
+  topology_.ClearTimelines();
+  for (auto& gpu : gpus_) gpu->ClearStream();
+}
+
+size_t System::MaxTimelineSegments() const {
+  size_t m = 0;
+  for (int l = 0; l < topology_.num_links(); ++l) {
+    m = std::max(m, topology_.link(l).server.num_segments());
+  }
+  for (int s = 0; s < topology_.num_sockets(); ++s) {
+    m = std::max(m, topology_.socket_dram(s).num_segments());
+  }
+  for (const auto& gpu : gpus_) m = std::max(m, gpu->stream_segments());
+  return m;
 }
 
 std::vector<sim::MemNodeId> System::HostNodes() const {

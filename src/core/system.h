@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/ht_registry.h"
@@ -109,6 +110,30 @@ class System {
     return h;
   }
 
+  /// \name Timeline history
+  /// The shared timelines keep closed intervals only while a holder may read
+  /// them. A holder is a GraphBuilder::Run session, a scheduler busy period,
+  /// or any caller that replays an earlier epoch; it reads at or after the
+  /// epoch it holds at. When the last hold is released the watermark rises
+  /// to VirtualHorizon() and every link, stream and DRAM timeline drops its
+  /// history. That is exact, not an approximation: every dropped interval
+  /// ends at or before the horizon, and every later holder reads at or past
+  /// the watermark.
+  /// @{
+  /// Takes a hold at absolute `epoch`; InvalidArgument when `epoch` lies
+  /// below the watermark (that history is gone).
+  Status HoldHistory(sim::VTime epoch);
+  /// Reads VirtualHorizon() and takes a hold there in one locked step, so a
+  /// session anchored at the result is never refused. Returns the horizon.
+  sim::VTime HoldHistoryAtHorizon();
+  /// Releases one hold; the last one out drops every timeline's history.
+  void ReleaseHistory();
+  /// @}
+
+  /// Largest boundary count over every link, kernel-stream and socket DRAM
+  /// timeline (diagnostics).
+  size_t MaxTimelineSegments() const;
+
   /// Allocates a system-unique query id (session namespacing for hash tables
   /// and diagnostics).
   uint64_t NextQueryId() {
@@ -135,6 +160,9 @@ class System {
   std::unique_ptr<ResultCache> result_cache_;
   jit::TierPolicy tier_policy_ = jit::TierPolicy::kAuto;
   std::atomic<uint64_t> next_query_id_{1};
+  mutable std::mutex history_mu_;
+  int history_holds_ = 0;               ///< guarded by history_mu_
+  sim::VTime history_watermark_ = 0.0;  ///< guarded by history_mu_
 };
 
 }  // namespace hetex::core

@@ -105,8 +105,15 @@ class BandwidthServer {
     return free_at_;
   }
 
-  /// Busy-interval boundary count (diagnostics; the soak bench gates that it
-  /// stays bounded under hundreds of sessions).
+  /// Drops every busy interval; `free_at()` keeps its value. Exact for any
+  /// later request ready at or after `free_at()`: every dropped interval ends
+  /// by then.
+  void Clear() {
+    std::lock_guard<std::mutex> lock(mu_);
+    busy_.Clear();
+  }
+
+  /// Busy-interval boundary count (diagnostics).
   size_t num_segments() const {
     std::lock_guard<std::mutex> lock(mu_);
     return busy_.num_segments();
@@ -116,14 +123,10 @@ class BandwidthServer {
   double latency() const { return latency_; }
 
  private:
-  /// Bound on tracked busy intervals; older gaps are absorbed conservatively
-  /// past it (IntervalTimeline::Bound, two boundaries per interval).
-  static constexpr size_t kMaxIntervals = 1024;
-
   const double rate_;
   const double latency_;
   mutable std::mutex mu_;
-  IntervalTimeline busy_{2 * kMaxIntervals};
+  IntervalTimeline busy_;
   VTime free_at_ = 0.0;
 };
 
@@ -142,9 +145,9 @@ class BandwidthServer {
 /// Accounting is virtual-time exact, not wall-clock scoped: a phase opens at
 /// its absolute start (Register) and is held in the open set while the engine
 /// models it; it closes at its modeled end (Release with an end time), and
-/// only then does its interval join the timeline. Closed intervals persist,
-/// so a later session whose epoch overlaps them is charged even if the
-/// earlier query finished running (in wall-clock terms) long ago — and
+/// only then does its interval join the timeline. A closed interval stays
+/// until Clear(), so a later session whose epoch overlaps it is charged even
+/// if the earlier query finished running (in wall-clock terms) long ago — and
 /// staggered-epoch sessions that never overlap in virtual time no longer
 /// share a divisor just because their wall-clock registrations coincided.
 /// Every reader sums the closed timeline and the open set; an open phase
@@ -174,8 +177,9 @@ class DramServer {
   /// contends with any session overlapping it in virtual time.
   void Release(uint64_t token, VTime end) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (const auto e = Take(token)) {
-      timeline_.Add(e->start, MaxT(e->start, end), e->workers);
+    if (const auto e = Take(token); e && end > e->start) {
+      timeline_.Add(e->start, end, e->workers);
+      closed_end_ = MaxT(closed_end_, end);
     }
   }
 
@@ -251,35 +255,26 @@ class DramServer {
 
   /// Latest closed-interval end or open-phase start: a session anchored here
   /// overlaps no closed interval (open phases extend past their start; they
-  /// belong to queries still being modeled).
+  /// belong to queries still being modeled). Clear() does not move it.
   VTime horizon() const {
     std::lock_guard<std::mutex> lock(mu_);
-    VTime h = timeline_.horizon();
+    VTime h = closed_end_;
     for (const auto& [token, e] : open_) h = MaxT(h, e.start);
     return h;
+  }
+
+  /// Drops every closed interval; open phases and horizon() stay. Exact for
+  /// any later read at or after horizon(): every dropped interval ends by
+  /// then.
+  void Clear() {
+    std::lock_guard<std::mutex> lock(mu_);
+    timeline_.Clear();
   }
 
   /// Boundary count of the closed-interval timeline (diagnostics).
   size_t num_segments() const {
     std::lock_guard<std::mutex> lock(mu_);
     return timeline_.num_segments();
-  }
-
-  /// Fluid share one worker sees against the currently-open registrations:
-  /// min(per-worker cap, aggregate / open workers). Idle server = full
-  /// per-worker rate.
-  double EffectiveRate() const {
-    const int n = active_workers();
-    if (n <= 0) return per_worker_rate_;
-    const double share = total_rate_ / static_cast<double>(n);
-    return share < per_worker_rate_ ? share : per_worker_rate_;
-  }
-
-  int active_workers() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    int n = 0;
-    for (const auto& [token, e] : open_) n += e.workers;
-    return n;
   }
 
   double total_rate() const { return total_rate_; }
@@ -310,7 +305,9 @@ class DramServer {
   /// Open (not yet closed) worker-bearing phases by token.
   std::map<uint64_t, Entry> open_;
   /// Closed phases on the absolute timeline.
-  IntervalTimeline timeline_{4096};
+  IntervalTimeline timeline_;
+  /// Latest end of a non-empty closed phase, kept across Clear().
+  VTime closed_end_ = 0.0;
 };
 
 }  // namespace hetex::sim

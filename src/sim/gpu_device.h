@@ -95,6 +95,10 @@ class GpuDevice {
   /// Absolute virtual time at which this GPU's shared kernel stream frees up.
   /// Sessions anchored at (or past) this horizon see an idle stream.
   VTime stream_free_at() const { return stream_.free_at(); }
+  /// Drops the kernel stream's closed history; stream_free_at() stays.
+  void ClearStream() { stream_.Clear(); }
+  /// Boundary count of the kernel stream's timeline (diagnostics).
+  size_t stream_segments() const { return stream_.num_segments(); }
 
  private:
   void WorkerLoop(int worker);

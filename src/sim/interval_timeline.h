@@ -22,18 +22,14 @@ namespace hetex::sim {
 /// the last boundary is always 0.
 ///
 /// All operations are O(log n + touched boundaries): Add touches only the
-/// boundaries inside [start, end]. The boundary count is bounded by
-/// `max_segments` via a conservative merge (levels are only ever raised, so
-/// bounding can delay or slow work but never speed it up) — a long-lived
-/// server cannot grow without bound.
+/// boundaries inside [start, end]. Nothing is ever merged or dropped one
+/// interval at a time; the owner empties the whole timeline with Clear() once
+/// no reader can still reach its history (see core::System's history holds).
 ///
 /// Not thread-safe; the owning server's mutex guards it.
 class IntervalTimeline {
  public:
   static constexpr VTime kOpenEnd = std::numeric_limits<VTime>::infinity();
-
-  explicit IntervalTimeline(size_t max_segments = 2048)
-      : max_segments_(max_segments < 8 ? 8 : max_segments) {}
 
   /// Adds `weight` (> 0) over the finite interval [start, end).
   void Add(VTime start, VTime end, int weight) {
@@ -42,8 +38,10 @@ class IntervalTimeline {
     const auto to = EnsureBoundary(end);
     for (auto it = EnsureBoundary(start); it != to; ++it) it->second += weight;
     Coalesce(start, end);
-    Bound();
   }
+
+  /// Drops every interval.
+  void Clear() { steps_.clear(); }
 
   struct Span {
     int level = 0;      ///< weight sum over [t, until)
@@ -79,12 +77,6 @@ class IntervalTimeline {
     }
   }
 
-  /// Last boundary on the timeline: every interval ends at or before it, so a
-  /// session anchored at the horizon overlaps none of them.
-  VTime horizon() const {
-    return steps_.empty() ? 0.0 : steps_.rbegin()->first;
-  }
-
   size_t num_segments() const { return steps_.size(); }
 
  private:
@@ -113,25 +105,6 @@ class IntervalTimeline {
     }
   }
 
-  /// Keeps the boundary count bounded. Merging the two earliest boundaries at
-  /// the max of their levels absorbs the oldest gap (or flattens the oldest
-  /// step) — levels only go up, so every later query sees the same or more
-  /// contention and every first-fit start stays the same or moves later:
-  /// bounding is strictly conservative.
-  void Bound() {
-    while (steps_.size() > max_segments_) {
-      auto first = steps_.begin();
-      auto second = std::next(first);
-      first->second = first->second > second->second ? first->second
-                                                     : second->second;
-      steps_.erase(second);
-      // The raise can make `first` equal its successor; leave it — the next
-      // Coalesce pass near it will drop it, and correctness never depends on
-      // minimality.
-    }
-  }
-
-  const size_t max_segments_;
   /// Boundary -> level on [boundary, next boundary). Level before the first
   /// boundary is 0; level after the last equals its value.
   std::map<VTime, int> steps_;

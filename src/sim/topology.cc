@@ -122,7 +122,8 @@ std::string Topology::Describe(VTime epoch) const {
        << (mem_nodes_[s.mem].capacity >> 20) << " MiB modeled, "
        << socket_dram_[s.id]->total_rate() / 1e9 << " GB/s)";
     if (live) {
-      os << " backlog " << socket_dram_[s.id]->active_workers() << " worker(s)";
+      os << " backlog " << socket_dram_[s.id]->workers_overlapping(epoch)
+         << " worker(s)";
     }
     os << "\n";
   }

@@ -225,6 +225,14 @@ class Topology {
     return h;
   }
 
+  /// Drops the closed history of every link and socket DRAM timeline. Both
+  /// horizons above keep their values, so the drop is exact for any later
+  /// session anchored at or past them.
+  void ClearTimelines() {
+    for (auto& l : links_) l->server.Clear();
+    for (auto& dram : socket_dram_) dram->Clear();
+  }
+
   /// Socket of a core index in [0, num_cores), interleaved across sockets as the
   /// paper does for its scalability experiments ("we interleave the CPU cores
   /// between the two sockets").

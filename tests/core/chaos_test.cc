@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -83,7 +84,9 @@ struct ChaosEnv {
     }
     EXPECT_EQ(system->hts().TotalHtBytes(), 0u) << "leaked hash-table bytes";
     for (int s = 0; s < 2; ++s) {
-      EXPECT_EQ(system->topology().socket_dram(s).active_workers(), 0)
+      EXPECT_EQ(system->topology().socket_dram(s).workers_overlapping(
+                    std::numeric_limits<sim::VTime>::infinity()),
+                0)
           << "socket " << s << " leaked DRAM worker registrations";
     }
   }

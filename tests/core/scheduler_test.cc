@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -335,8 +336,10 @@ TEST(SchedulerTest, DmaQuerySlowsDownBehindConcurrentUvaQuery) {
   // bring-up so the two sessions' link activity overlaps in virtual time (the
   // bare plan has no routers and starts streaming immediately). Its kernels
   // leave real occupancy on gpu0's link; the DMA query then joins the earlier
-  // epoch and its fact-table transfers queue behind the UVA streams.
-  const sim::VTime epoch = env.system->VirtualHorizon();
+  // epoch and its fact-table transfers queue behind the UVA streams. Going
+  // back to an earlier epoch needs the links' history, so the test holds it
+  // across both runs.
+  const sim::VTime epoch = env.system->HoldHistoryAtHorizon();
   const sim::VTime init = env.system->cost_model().router_init_latency;
   QueryResult uva = executor.ExecutePlan(
       spec, uva_plan, QuerySession{env.system->NextQueryId(), epoch + init});
@@ -345,6 +348,7 @@ TEST(SchedulerTest, DmaQuerySlowsDownBehindConcurrentUvaQuery) {
 
   QueryResult contended = executor.ExecutePlan(
       spec, dma_plan, QuerySession{env.system->NextQueryId(), epoch});
+  env.system->ReleaseHistory();
   ASSERT_TRUE(contended.status.ok()) << contended.status.ToString();
   EXPECT_EQ(contended.rows, solo.rows);
   // Visible slowdown, not just noise: the UVA query streamed the whole fact
@@ -376,7 +380,8 @@ TEST(SchedulerTest, OtherSessionsWorkersShrinkDramFluidShare) {
   // this, every contention assertion below could pass against a runtime that
   // silently stopped charging cross-session DRAM.
   EXPECT_EQ(dram.generation() - gen_before, 4u);
-  EXPECT_EQ(dram.active_workers(), 0);
+  EXPECT_EQ(dram.workers_overlapping(std::numeric_limits<sim::VTime>::infinity()),
+            0);
 
   // A phantom in-flight session holds 12 workers on socket 0: every worker's
   // share drops from 45/12 to 45/24 GB/s, and the bandwidth-bound scan phase

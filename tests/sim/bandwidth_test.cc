@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <limits>
+#include <random>
 #include <thread>
 #include <vector>
 
 namespace hetex::sim {
 namespace {
+
+/// Past every boundary: workers_overlapping(kEver) counts the open phases.
+constexpr VTime kEver = std::numeric_limits<VTime>::infinity();
 
 TEST(BandwidthServer, SingleReservationTakesBytesOverRate) {
   BandwidthServer server(1e9);  // 1 GB/s
@@ -163,17 +169,19 @@ TEST(BandwidthServer, ProbeThenAnchoredReserveSurvivesRacingSessions) {
 }
 
 TEST(DramServer, PerWorkerCapUntilSaturation) {
+  // Session 1's one worker drains 6 GB in 1 s at the full per-core rate while
+  // the socket is not saturated.
   DramServer dram(45e9, 6e9);
-  EXPECT_DOUBLE_EQ(dram.EffectiveRate(), 6e9);  // idle: full per-core rate
-  const uint64_t seven = dram.Register(/*session=*/1, /*epoch=*/0.0, 7);
+  EXPECT_DOUBLE_EQ(dram.BlockEnd(1, 1, 6e9, 0.0, 0.0, 0.0), 1.0);  // idle
+  const uint64_t six = dram.Register(/*session=*/2, /*start=*/0.0, 6);
   // 7 workers: 45/7 = 6.43 > 6 -> still per-core capped.
-  EXPECT_DOUBLE_EQ(dram.EffectiveRate(), 6e9);
-  const uint64_t one = dram.Register(/*session=*/1, /*epoch=*/0.0, 1);
+  EXPECT_DOUBLE_EQ(dram.BlockEnd(1, 1, 6e9, 0.0, 0.0, 0.0), 1.0);
+  const uint64_t one = dram.Register(/*session=*/2, /*start=*/0.0, 1);
   // 8 workers: 45/8 = 5.625 < 6 -> fluid share kicks in.
-  EXPECT_DOUBLE_EQ(dram.EffectiveRate(), 45e9 / 8);
-  dram.Release(seven);
+  EXPECT_DOUBLE_EQ(dram.BlockEnd(1, 1, 45e9 / 8, 0.0, 0.0, 0.0), 1.0);
+  dram.Release(six);
   dram.Release(one);
-  EXPECT_EQ(dram.active_workers(), 0);
+  EXPECT_EQ(dram.workers_overlapping(kEver), 0);
 }
 
 // The closed form a block takes when nothing overlaps its drain: its own
@@ -196,10 +204,8 @@ TEST(DramServer, SessionsSplitTheAggregate) {
   // Session 11 arrives at 2.5 with 6 more: each session now sees the other's
   // workers in its fluid-share divisor (6 own + 6 others = 45/12 each).
   const uint64_t b = dram.Register(11, /*start=*/2.5, 6);
-  EXPECT_EQ(dram.active_workers(), 12);
   EXPECT_EQ(dram.workers_overlapping(1.0), 6);
   EXPECT_EQ(dram.workers_overlapping(3.0), 12);
-  EXPECT_DOUBLE_EQ(dram.EffectiveRate(), 45e9 / 12);
   // 3.75 GB at 3.75 GB/s.
   EXPECT_DOUBLE_EQ(dram.BlockEnd(10, 6, 3.75e9, 0.0, 0.0, 3.0), 4.0);
   EXPECT_DOUBLE_EQ(dram.BlockEnd(11, 6, 3.75e9, 0.0, 0.0, 3.0), 4.0);
@@ -207,9 +213,9 @@ TEST(DramServer, SessionsSplitTheAggregate) {
   dram.Release(a);
   EXPECT_EQ(dram.BlockEnd(11, 6, 3.75e9, 0.0, 0.0, 3.0),
             SoloEnd(6, 3.75e9, 0.0, 3.0));
-  EXPECT_EQ(dram.active_workers(), 6);
+  EXPECT_EQ(dram.workers_overlapping(kEver), 6);
   dram.Release(b);
-  EXPECT_EQ(dram.active_workers(), 0);
+  EXPECT_EQ(dram.workers_overlapping(kEver), 0);
 }
 
 TEST(DramServer, OneSessionMayHoldSeveralRegistrations) {
@@ -218,14 +224,14 @@ TEST(DramServer, OneSessionMayHoldSeveralRegistrations) {
   DramServer dram(45e9, 6e9);
   const uint64_t build = dram.Register(7, 0.0, 2);
   const uint64_t fact = dram.Register(7, 0.0, 4);
-  EXPECT_EQ(dram.active_workers(), 6);
+  EXPECT_EQ(dram.workers_overlapping(kEver), 6);
   EXPECT_EQ(dram.workers_overlapping(0.5), 6);
   EXPECT_EQ(dram.BlockEnd(7, 6, 1e9, 0.0, 0.0, 0.5), SoloEnd(6, 1e9, 0.0, 0.5));
   // Another session sees all of them: 6 own + 6 others = 45/12 per worker.
   EXPECT_DOUBLE_EQ(dram.BlockEnd(8, 6, 3.75e9, 0.0, 0.0, 0.5), 1.5);
   dram.Release(build);
   dram.Release(fact);
-  EXPECT_EQ(dram.active_workers(), 0);
+  EXPECT_EQ(dram.workers_overlapping(kEver), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -388,8 +394,93 @@ TEST(DramServer, ConcurrentRegisterReleaseAndBlockEnd) {
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(dram.active_workers(), 0);
+  EXPECT_EQ(dram.workers_overlapping(kEver), 0);
   EXPECT_GT(dram.generation(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// History: no interval is ever merged away, and Clear() drops all of them at
+// once without changing any read at or past the horizon.
+// ---------------------------------------------------------------------------
+
+// Past 2048 boundaries an early gap on a link is still a gap.
+TEST(BandwidthServer, EarlyGapSurvivesALongHistory) {
+  BandwidthServer server(1e9);
+  for (int i = 0; i < 1100; ++i) server.ReserveDurationAt(2.0 * i, 1.0);
+  EXPECT_EQ(server.num_segments(), 2200u);
+  EXPECT_DOUBLE_EQ(server.ProbeStart(0.5, 1.0), 1.0);  // the gap [1, 2)
+  const BandwidthServer::Window w = server.ReserveDuration(1.0, 0.5);
+  EXPECT_DOUBLE_EQ(w.start, 1.0);
+}
+
+// Past 4096 boundaries a block in an early DRAM gap is still uncontended.
+TEST(DramServer, EarlyGapSurvivesALongHistory) {
+  DramServer dram(45e9, 6e9);
+  for (int i = 0; i < 2100; ++i) {
+    dram.Release(dram.Register(/*session=*/1, 2.0 * i, 12), 2.0 * i + 1.0);
+  }
+  EXPECT_EQ(dram.num_segments(), 4200u);
+  EXPECT_EQ(dram.workers_overlapping(1.5), 0);
+  EXPECT_EQ(dram.BlockEnd(/*session=*/2, 12, 1e9, 0.0, /*epoch=*/0.0, 1.0),
+            SoloEnd(12, 1e9, 0.0, 1.0));
+}
+
+// Two copies of each server take the same random history; one is cleared.
+// Every read at or past the horizon (DRAM) or free_at() (link) must agree,
+// before and after both copies take more of the same reservations.
+TEST(DramServer, ClearIsExactFromTheHorizonOn) {
+  std::mt19937 rng(0x5EED);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  std::uniform_int_distribution<int> workers(1, 8);
+  for (int round = 0; round < 20; ++round) {
+    DramServer kept(45e9, 6e9), cleared(45e9, 6e9);
+    BandwidthServer kept_link(1e9, 1e-6), cleared_link(1e9, 1e-6);
+    uint64_t session = 1;
+    // Closed phases and link reservations from `base` on; one phase in four
+    // stays open.
+    auto fill = [&](VTime base, int n) {
+      for (int i = 0; i < n; ++i, ++session) {
+        const VTime start = base + 10.0 * u(rng);
+        const VTime end = start + u(rng);
+        const int w = workers(rng);
+        const uint64_t a = kept.Register(session, start, w);
+        const uint64_t b = cleared.Register(session, start, w);
+        if (i % 4 != 0) {
+          kept.Release(a, end);
+          cleared.Release(b, end);
+        }
+        const VTime dur = 0.1 * u(rng), ready = 10.0 * u(rng);
+        ASSERT_EQ(kept_link.ReserveDuration(dur, ready, base).start,
+                  cleared_link.ReserveDuration(dur, ready, base).start);
+      }
+    };
+    auto compare = [&] {
+      const VTime h = kept.horizon(), f = kept_link.free_at();
+      for (int p = 0; p < 50; ++p) {
+        const VTime t = h + 2.0 * u(rng);
+        ASSERT_EQ(kept.workers_overlapping(t), cleared.workers_overlapping(t));
+        const int own = workers(rng);
+        const double bytes = 1e10 * u(rng);
+        const VTime compute = 0.1 * u(rng), earliest = u(rng);
+        ASSERT_EQ(kept.BlockEnd(session, own, bytes, compute, t, earliest),
+                  cleared.BlockEnd(session, own, bytes, compute, t, earliest));
+        const VTime dur = u(rng), ready = 2.0 * u(rng);
+        ASSERT_EQ(kept_link.ProbeStart(dur, ready, f),
+                  cleared_link.ProbeStart(dur, ready, f));
+      }
+    };
+    fill(0.0, 200);
+    const VTime h = kept.horizon(), f = kept_link.free_at();
+    cleared.Clear();
+    cleared_link.Clear();
+    EXPECT_EQ(cleared.num_segments(), 0u);
+    EXPECT_EQ(cleared_link.num_segments(), 0u);
+    EXPECT_EQ(cleared.horizon(), h);
+    EXPECT_EQ(cleared_link.free_at(), f);
+    compare();
+    fill(std::max(h, f), 50);
+    compare();
+  }
 }
 
 }  // namespace

@@ -194,6 +194,21 @@ TEST(Topology, DescribePrintsFabricAndLiveBacklog) {
   // The drained view at the horizon reports zero backlog everywhere.
   const std::string drained = topo.Describe(topo.LinkHorizon());
   EXPECT_NE(drained.find("backlog 0 ms"), std::string::npos);
+
+  // A socket's backlog is the workers whose phases overlap the epoch, closed
+  // or open — the coster's reading — not whatever is open at any time.
+  DramServer& dram = topo.socket_dram(1);
+  dram.Release(dram.Register(/*session=*/1, 1.0, 3), 2.0);  // closed [1, 2)
+  const uint64_t later = dram.Register(/*session=*/2, 5.0, 4);
+  auto socket1 = [&](VTime epoch) {
+    const std::string d = topo.Describe(epoch);
+    const size_t at = d.find("  socket1:");
+    return d.substr(at, d.find('\n', at) - at);
+  };
+  EXPECT_NE(socket1(1.5).find("backlog 3 worker(s)"), std::string::npos);
+  EXPECT_NE(socket1(3.0).find("backlog 0 worker(s)"), std::string::npos);
+  EXPECT_NE(socket1(6.0).find("backlog 4 worker(s)"), std::string::npos);
+  dram.Release(later);
 }
 
 TEST(Topology, LinkHorizonCoversPeerAndInterSocketLinks) {
