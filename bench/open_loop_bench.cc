@@ -2,7 +2,8 @@
 // table SSB mix pushed through the concurrent scheduler, A/B-ing the serving
 // layer's cross-query reuse (shared hash-table builds + result cache) at a
 // fixed offered load. Reports offered vs achieved queries/sec, p50/p99
-// client-observed latency and the cache/share hit rates per leg, as JSON.
+// client-observed latency, the cache/share hit rates and the result attaches
+// per leg, as JSON.
 //
 // Usage:
 //   bench_open_loop_bench [--check] [--queries N] [--rows R] [--seed S]
@@ -13,11 +14,15 @@
 // every leg — the offered load does not adapt to the server. The whole trace
 // is submitted upfront; the scheduler's admission control and the virtual
 // arrival offsets shape the timeline, and the result cache is consulted at
-// dequeue time (a query only hits on results completed earlier on it).
+// dequeue time: a query hits on results already cached, attaches to an
+// identical query already running from an epoch no later than its own (and
+// waits for that query's virtual completion), and otherwise executes.
 //
 // --check exits nonzero unless (a) every completed query's rows are
-// bit-identical to the scalar reference in every leg, and (b) the reuse-on
-// leg achieves >= 1.3x the reuse-off achieved qps at the same offered load.
+// bit-identical to the scalar reference in every leg, (b) the reuse-on leg
+// achieves >= 1.3x the reuse-off achieved qps at the same offered load, and
+// (c) the reuse-on leg attached at least one query to a running identical one
+// while the reuse-off leg attached none.
 // --ab-steer adds a third leg with backlog-steered admission disabled
 // (load-blind planning) — informational, roughly doubles the runtime.
 
@@ -57,6 +62,7 @@ struct LegStats {
   double p99_latency_s = 0;
   double mean_queue_wait_s = 0;
   double cache_hit_rate = 0;
+  int result_attaches = 0;  ///< queries answered by a running identical query
   int shared_builds = 0;
   int shared_attaches = 0;
   double share_attach_rate = 0;  ///< attaches / (builds + attaches)
@@ -140,6 +146,7 @@ LegStats RunLeg(const std::string& name, core::ReuseOptions reuse, bool steer,
         << leg.name << " query " << qi << ": " << r.status.ToString();
     ++leg.ok;
     if (r.cache_hit) ++cache_hits;
+    if (r.result_attached) ++leg.result_attaches;
     leg.shared_builds += r.shared_builds;
     leg.shared_attaches += r.shared_attaches;
     const double arrival = r.session_epoch - r.queue_wait;
@@ -265,11 +272,11 @@ int main(int argc, char** argv) {
         "    {\"name\": \"%s\", \"ok\": %d, \"achieved_qps\": %.2f, "
         "\"p50_latency_s\": %.6f, \"p99_latency_s\": %.6f, "
         "\"mean_queue_wait_s\": %.6f, \"cache_hit_rate\": %.4f, "
-        "\"shared_builds\": %d, \"shared_attaches\": %d, "
+        "\"result_attaches\": %d, \"shared_builds\": %d, \"shared_attaches\": %d, "
         "\"share_attach_rate\": %.4f, \"peak_segments\": %zu, "
         "\"wall_s\": %.3f, \"parity_ok\": %s}%s\n",
         l.name.c_str(), l.ok, l.achieved_qps, l.p50_latency_s, l.p99_latency_s,
-        l.mean_queue_wait_s, l.cache_hit_rate, l.shared_builds,
+        l.mean_queue_wait_s, l.cache_hit_rate, l.result_attaches, l.shared_builds,
         l.shared_attaches, l.share_attach_rate, l.peak_segments, l.wall_s,
         l.parity_ok ? "true" : "false", i + 1 < legs.size() ? "," : "");
   }
@@ -292,11 +299,19 @@ int main(int argc, char** argv) {
                    on, off, offered_qps);
       return 1;
     }
+    if (legs[1].result_attaches == 0 || legs[0].result_attaches != 0) {
+      std::fprintf(stderr,
+                   "CHECK FAILED: result attaches reuse-off %d (needs 0), "
+                   "reuse-on %d (needs > 0)\n",
+                   legs[0].result_attaches, legs[1].result_attaches);
+      return 1;
+    }
     std::fprintf(stderr,
                  "check ok: offered %.2f qps, reuse off %.2f -> on %.2f "
-                 "(%.2fx), cache hit rate %.2f, share attach rate %.2f\n",
+                 "(%.2fx), cache hit rate %.2f, result attaches %d, share "
+                 "attach rate %.2f\n",
                  offered_qps, off, on, on / off, legs[1].cache_hit_rate,
-                 legs[1].share_attach_rate);
+                 legs[1].result_attaches, legs[1].share_attach_rate);
   }
   return 0;
 }

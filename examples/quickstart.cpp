@@ -208,19 +208,26 @@ int main() {
     core::QueryScheduler scheduler(&serve, {.max_concurrent = 4});
     std::vector<core::QueryHandle> handles;
     for (int i = 0; i < 4; ++i) handles.push_back(scheduler.Submit(join_query));
-    int built = 0, attached = 0;
+    int executed = 0, result_attached = 0, built = 0, attached = 0;
     double miss_modeled = 0;
     for (auto& h : handles) {
       core::QueryResult r = scheduler.Wait(h);
       HETEX_CHECK_OK(r.status);
       built += r.shared_builds;
       attached += r.shared_attaches;
-      miss_modeled = r.modeled_seconds;
+      if (r.result_attached) {
+        ++result_attached;
+      } else {
+        ++executed;
+        miss_modeled = r.modeled_seconds;
+      }
     }
+    // Single-flight: a duplicate that starts while the first copy runs waits
+    // for its result; one that executes anyway shares its hash-table build.
     std::printf("\ncross-query reuse, 4 concurrent identical joins:\n"
-                "  shared hash-table builds=%d attaches=%d "
-                "(1 build, 3 attach — single-flight)\n",
-                built, attached);
+                "  executed=%d result attaches=%d  shared hash-table "
+                "builds=%d attaches=%d\n",
+                executed, result_attached, built, attached);
 
     // Same query again: served from the result cache at lookup cost.
     core::QueryResult hit = scheduler.Wait(scheduler.Submit(join_query));

@@ -71,11 +71,16 @@ struct QueryResult {
   /// @}
   /// \name Serving-layer reuse accounting (zero/false when reuse is off).
   /// `cache_hit`: the scheduler answered from the result cache — no plan ran,
-  /// `modeled_seconds` is the cache lookup cost only. `shared_builds` /
-  /// `shared_attaches` count this query's joins that built-and-published vs
-  /// attached-to an already-built shared hash-table replica set.
+  /// `modeled_seconds` is the cache lookup cost only. `result_attached`: the
+  /// scheduler answered with the rows of an identical query that was already
+  /// executing from an epoch no later than this one — no plan ran either, and
+  /// `modeled_seconds` is the wait for that query's completion plus the
+  /// lookup cost. `shared_builds` / `shared_attaches` count this query's joins
+  /// that built-and-published vs attached-to an already-built shared
+  /// hash-table replica set.
   /// @{
   bool cache_hit = false;
+  bool result_attached = false;
   int shared_builds = 0;
   int shared_attaches = 0;
   /// @}

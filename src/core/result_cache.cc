@@ -1,6 +1,9 @@
 #include "core/result_cache.h"
 
+#include <chrono>
 #include <cstdlib>
+
+#include "common/logging.h"
 
 namespace hetex::core {
 
@@ -25,23 +28,101 @@ uint64_t ResultCache::RowBytes(const std::vector<std::vector<int64_t>>& rows) {
   return bytes;
 }
 
-bool ResultCache::Lookup(const std::string& key,
-                         std::vector<std::vector<int64_t>>* rows) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++stats_.misses;
-    return false;
+ResultLease ResultCache::Acquire(const std::string& key, uint64_t query,
+                                 sim::VTime epoch,
+                                 const QueryControl* control) {
+  std::unique_lock<std::mutex> lock(mu_);
+  ResultLease lease;
+  if (auto it = entries_.find(key); it != entries_.end()) {
+    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+    lease.role = ResultLease::Role::kHit;
+    lease.rows = it->second.rows;
+    ++stats_.hits;
+    return lease;
   }
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  *rows = it->second.rows;
-  ++stats_.hits;
-  return true;
+  ++stats_.misses;
+  auto it = flights_.find(key);
+  if (it == flights_.end()) {
+    auto flight = std::make_shared<Flight>();
+    flight->producer = query;
+    flight->epoch = epoch;
+    flights_.emplace(key, std::move(flight));
+    lease.role = ResultLease::Role::kProduce;
+    return lease;
+  }
+  const std::shared_ptr<Flight> flight = it->second;
+  if (flight->producer == query) {
+    lease.role = ResultLease::Role::kProduce;  // a retry keeps its lease
+    return lease;
+  }
+  if (flight->epoch > epoch) {
+    // The producer started later in virtual time than the caller: at the
+    // caller's epoch it does not exist yet, so there is nothing to wait for.
+    lease.role = ResultLease::Role::kExecute;
+    return lease;
+  }
+  while (flight->state == Flight::State::kRunning) {
+    if (control != nullptr &&
+        (control->cancelled.load(std::memory_order_relaxed) ||
+         control->deadline_hit.load(std::memory_order_relaxed))) {
+      lease.role = ResultLease::Role::kCancelled;
+      return lease;
+    }
+    // Bounded wait so a cancelled waiter re-checks its control flags even when
+    // no publish/fail notification arrives.
+    flight_cv_.wait_for(lock, std::chrono::milliseconds(1));
+  }
+  if (flight->state == Flight::State::kReady) {
+    lease.role = ResultLease::Role::kAttach;
+    lease.rows = flight->rows;
+    lease.ready_at = flight->ready_at;
+    ++stats_.attaches;
+  } else {
+    lease.role = ResultLease::Role::kExecute;  // failover: execute at own epoch
+  }
+  return lease;
+}
+
+std::shared_ptr<ResultCache::Flight> ResultCache::TakeFlightLocked(
+    const std::string& key, uint64_t query) {
+  auto it = flights_.find(key);
+  HETEX_CHECK(it != flights_.end() && it->second->producer == query)
+      << "query " << query << " does not hold the result lease for " << key;
+  std::shared_ptr<Flight> flight = std::move(it->second);
+  flights_.erase(it);
+  return flight;
+}
+
+void ResultCache::Publish(const std::string& key, uint64_t query,
+                          const std::vector<std::vector<int64_t>>& rows,
+                          sim::VTime ready_at) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::shared_ptr<Flight> flight = TakeFlightLocked(key, query);
+    flight->rows = rows;
+    flight->ready_at = ready_at;
+    flight->state = Flight::State::kReady;
+    InsertLocked(key, rows);
+  }
+  flight_cv_.notify_all();
+}
+
+void ResultCache::Fail(const std::string& key, uint64_t query) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    TakeFlightLocked(key, query)->state = Flight::State::kFailed;
+  }
+  flight_cv_.notify_all();
 }
 
 void ResultCache::Insert(const std::string& key,
                          const std::vector<std::vector<int64_t>>& rows) {
   std::lock_guard<std::mutex> lock(mu_);
+  InsertLocked(key, rows);
+}
+
+void ResultCache::InsertLocked(const std::string& key,
+                               const std::vector<std::vector<int64_t>>& rows) {
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);

@@ -135,12 +135,16 @@ void QueryScheduler::RunTask(Task* task, QuerySession session) {
   sim::VTime backoff = 0;
   // Serving-layer result-cache key of the latest attempt, recomputed at each
   // attempt's dequeue point (empty: cache disabled). It embeds the mutation
-  // epoch of every table read *as of the lookup*, so a hit and a miss always
+  // epoch of every table read *as of the acquire*, so a hit and a miss always
   // read the same table version — a key snapshotted at submit time could hit
   // an entry computed from pre-mutation data while a miss would execute
   // against post-mutation data. Pinned-policy submissions are cacheable too:
-  // every policy computes identical rows.
+  // every policy computes identical rows. `lease_key` is the key whose
+  // single-flight lease this query holds (empty: none); the lease spans
+  // retries and is released when an attempt computes a different key.
   std::string cache_key;
+  std::string lease_key;
+  ResultCache* const cache = system_->result_cache();
 
   for (;;) {
     if (task->control.cancelled.load(std::memory_order_relaxed)) {
@@ -161,32 +165,56 @@ void QueryScheduler::RunTask(Task* task, QuerySession session) {
         deadline >= 0 ? deadline - task->queue_wait - backoff : -1;
     task->control.deadline_hit.store(false, std::memory_order_relaxed);
 
-    // Result-cache hit: answer from the cached rows instead of executing.
-    // The hit pays the admission queue wait (it held a slot like any query)
-    // plus the lookup cost and the row copy at core streaming bandwidth —
-    // the slot frees almost immediately, which is where the serving-layer
-    // throughput win comes from. The generic terminal checks below still
-    // apply (a hit can land past the deadline).
+    // Result cache, one acquire per attempt. A hit answers from the cached
+    // rows; an attach answers from the rows of an identical query that was
+    // already running from an epoch no later than ours, once it completes at
+    // `ready_at`. Either pays the wait for `ready_at` (attach only), the
+    // lookup cost and the row copy at core streaming bandwidth, and holds
+    // its slot and budget until then — a hit frees it almost immediately,
+    // which is where the serving-layer throughput win comes from. The
+    // generic terminal checks below still apply (an answer can land past the
+    // deadline). A producer and a failed-over attacher execute as a miss.
     bool served_from_cache = false;
-    if (ResultCache* cache = system_->result_cache()) {
+    if (cache != nullptr) {
       cache_key = ResultCacheKey(system_, task->spec);
-      {
-        std::vector<std::vector<int64_t>> rows;
-        if (cache->Lookup(cache_key, &rows)) {
-          result = QueryResult{};
+      if (!lease_key.empty() && lease_key != cache_key) {
+        cache->Fail(lease_key, session.query_id);
+        lease_key.clear();
+      }
+      ResultLease lease = cache->Acquire(cache_key, session.query_id,
+                                         attempt.epoch, &task->control);
+      switch (lease.role) {
+        case ResultLease::Role::kHit:
+        case ResultLease::Role::kAttach: {
+          const bool attached = lease.role == ResultLease::Role::kAttach;
           uint64_t row_bytes = 0;
-          for (const auto& row : rows) {
+          for (const auto& row : lease.rows) {
             row_bytes += row.size() * sizeof(int64_t);
           }
           const sim::CostModel& cm = system_->cost_model();
-          result.status = Status::OK();
-          result.rows = std::move(rows);
-          result.cache_hit = true;
+          const sim::VTime wait =
+              attached ? sim::MaxT(0.0, lease.ready_at - attempt.epoch) : 0.0;
+          result = QueryResult{};
+          result.rows = std::move(lease.rows);
+          result.cache_hit = !attached;
+          result.result_attached = attached;
           result.modeled_seconds =
-              cm.result_cache_lookup_latency +
+              wait + cm.result_cache_lookup_latency +
               static_cast<double>(row_bytes) / cm.cpu_core_bw;
           served_from_cache = true;
+          break;
         }
+        case ResultLease::Role::kProduce:
+          lease_key = cache_key;
+          break;
+        case ResultLease::Role::kExecute:
+          break;
+        case ResultLease::Role::kCancelled:
+          // The terminal stamp below names cancellation or the deadline.
+          result = QueryResult{};
+          result.status = Status::Cancelled("query cancelled");
+          served_from_cache = true;
+          break;
       }
     }
 
@@ -291,14 +319,23 @@ void QueryScheduler::RunTask(Task* task, QuerySession session) {
   result.degraded = retries > 0 || replanned;
   result.fault = first_fault;
 
-  // Populate the result cache from clean completions — re-validated: the key
+  // Populate the result cache from clean executions — re-validated: the key
   // is recomputed now and the rows publish only when no referenced table
-  // mutated since the attempt's dequeue-time lookup, so an entry's rows
-  // provably correspond to its key's epochs. A table placed mid-flight simply
-  // skips the insert.
-  if (result.status.ok() && !cache_key.empty() &&
-      ResultCacheKey(system_, task->spec) == cache_key) {
-    if (ResultCache* cache = system_->result_cache()) {
+  // mutated since the attempt's acquire, so an entry's rows provably
+  // correspond to its key's epochs. A table placed mid-flight skips the
+  // insert, and a producer then fails its lease so the attachers execute
+  // against the new table version themselves.
+  if (cache != nullptr && !cache_key.empty()) {
+    const bool clean = result.status.ok() &&
+                       ResultCacheKey(system_, task->spec) == cache_key;
+    if (!lease_key.empty()) {
+      if (clean) {
+        cache->Publish(lease_key, session.query_id, result.rows,
+                       session.epoch + result.modeled_seconds);
+      } else {
+        cache->Fail(lease_key, session.query_id);
+      }
+    } else if (clean && !result.cache_hit && !result.result_attached) {
       cache->Insert(cache_key, result.rows);
     }
   }

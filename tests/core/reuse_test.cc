@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +24,7 @@ namespace {
 
 using core::HtRegistry;
 using core::ResultCache;
+using core::ResultLease;
 using core::SharedBuildLease;
 
 memory::MemoryManager* Cpu0Memory(test::TestEnv& env) {
@@ -186,16 +188,24 @@ TEST(ReuseTest, StaleGenerationEvictedOnNewEpochAcquire) {
 // ResultCache (unit level)
 // ---------------------------------------------------------------------------
 
+/// Blocks until `n` acquires missed the cache. A miss is counted under the
+/// cache lock before the caller waits, so every counted attacher is waiting.
+void AwaitMisses(const ResultCache& cache, uint64_t n) {
+  while (cache.stats().misses < n) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+}
+
 TEST(ReuseTest, ResultCacheLruEvictsWithinByteBudget) {
   ResultCache cache(/*max_bytes=*/4096);
   const std::vector<std::vector<int64_t>> small = {{1, 2, 3}, {4, 5, 6}};
   cache.Insert("a", small);
-  std::vector<std::vector<int64_t>> rows;
-  ASSERT_TRUE(cache.Lookup("a", &rows));
-  EXPECT_EQ(rows, small);
+  const ResultLease hit = cache.Acquire("a", /*query=*/1, /*epoch=*/0, nullptr);
+  ASSERT_EQ(hit.role, ResultLease::Role::kHit);
+  EXPECT_EQ(hit.rows, small);
 
   // Fill far past the budget: the cache must stay within max_bytes and evict
-  // oldest-first. "a" was touched by the lookup above, so it outlives the
+  // oldest-first. "a" was touched by the acquire above, so it outlives the
   // first inserts that follow it.
   for (int i = 0; i < 64; ++i) {
     cache.Insert("fill" + std::to_string(i), small);
@@ -209,19 +219,87 @@ TEST(ReuseTest, ResultCacheLruEvictsWithinByteBudget) {
   const int entries_before = cache.entries();
   cache.Insert("huge", huge);
   EXPECT_EQ(cache.entries(), entries_before);
-  EXPECT_FALSE(cache.Lookup("huge", &rows));
+  EXPECT_EQ(cache.Acquire("huge", 1, 0, nullptr).role,
+            ResultLease::Role::kProduce);
+  cache.Fail("huge", 1);
 }
 
 TEST(ReuseTest, ResultCacheMissThenHitCounts) {
   ResultCache cache(1 << 20);
-  std::vector<std::vector<int64_t>> rows;
-  EXPECT_FALSE(cache.Lookup("k", &rows));
-  cache.Insert("k", {{42}});
-  EXPECT_TRUE(cache.Lookup("k", &rows));
-  EXPECT_EQ(rows, (std::vector<std::vector<int64_t>>{{42}}));
+  EXPECT_EQ(cache.Acquire("k", 1, 0, nullptr).role,
+            ResultLease::Role::kProduce);
+  cache.Publish("k", 1, {{42}}, /*ready_at=*/1.0);
+  const ResultLease hit = cache.Acquire("k", 2, 0, nullptr);
+  EXPECT_EQ(hit.role, ResultLease::Role::kHit);
+  EXPECT_EQ(hit.rows, (std::vector<std::vector<int64_t>>{{42}}));
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().insertions, 1u);
+}
+
+TEST(ReuseTest, ResultCacheSingleFlightUnderRace) {
+  ResultCache cache(1 << 20);
+  constexpr int kThreads = 8;
+  constexpr double kReadyAt = 3.5;
+  const std::vector<std::vector<int64_t>> rows = {{7, 8}};
+
+  std::atomic<int> produced{0};
+  std::atomic<int> attached{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const uint64_t query = 100 + static_cast<uint64_t>(t);
+      ResultLease lease = cache.Acquire("k", query, /*epoch=*/1.0, nullptr);
+      if (lease.role == ResultLease::Role::kProduce) {
+        produced.fetch_add(1);
+        // Publish once every other thread is waiting on the lease.
+        AwaitMisses(cache, kThreads);
+        cache.Publish("k", query, rows, kReadyAt);
+        return;
+      }
+      ASSERT_EQ(lease.role, ResultLease::Role::kAttach);
+      attached.fetch_add(1);
+      EXPECT_EQ(lease.rows, rows);
+      EXPECT_EQ(lease.ready_at, kReadyAt);
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(produced.load(), 1);
+  EXPECT_EQ(attached.load(), kThreads - 1);
+  EXPECT_EQ(cache.stats().attaches, static_cast<uint64_t>(kThreads - 1));
+  EXPECT_EQ(cache.stats().insertions, 1u);
+}
+
+TEST(ReuseTest, ResultCacheEpochRuleAndFailover) {
+  ResultCache cache(1 << 20);
+  ASSERT_EQ(cache.Acquire("k", 1, /*epoch=*/2.0, nullptr).role,
+            ResultLease::Role::kProduce);
+  // The producer's retry keeps its lease.
+  EXPECT_EQ(cache.Acquire("k", 1, 2.5, nullptr).role,
+            ResultLease::Role::kProduce);
+  // A caller from before the producer started does not wait for it.
+  EXPECT_EQ(cache.Acquire("k", 2, 1.0, nullptr).role,
+            ResultLease::Role::kExecute);
+  // A cancelled caller bails out of the wait.
+  core::QueryControl cancelled;
+  cancelled.cancelled.store(true);
+  EXPECT_EQ(cache.Acquire("k", 3, 3.0, &cancelled).role,
+            ResultLease::Role::kCancelled);
+
+  // A later caller waits; the producer's failure sends it off to execute.
+  ResultLease waited;
+  std::thread waiter([&] { waited = cache.Acquire("k", 4, 3.0, nullptr); });
+  AwaitMisses(cache, 5);
+  cache.Fail("k", 1);
+  waiter.join();
+  EXPECT_EQ(waited.role, ResultLease::Role::kExecute);
+  EXPECT_TRUE(waited.rows.empty());
+  EXPECT_EQ(cache.stats().attaches, 0u);
+  EXPECT_EQ(cache.entries(), 0);
+  // The lease is gone: the next miss produces.
+  EXPECT_EQ(cache.Acquire("k", 5, 4.0, nullptr).role,
+            ResultLease::Role::kProduce);
+  cache.Fail("k", 5);
 }
 
 // ---------------------------------------------------------------------------
@@ -390,6 +468,182 @@ TEST(ReuseTest, MutationWhileQueuedNeverServesStaleEpoch) {
   EXPECT_EQ(rc.rows, reference);
 }
 
+// ---------------------------------------------------------------------------
+// Single-flight results: a query whose answer an identical running query is
+// already computing waits for it instead of executing. Each test gates the
+// producer deterministically: it is pinned to the GPUs, whose staging arenas
+// the test holds, so it blocks on its first mem-move until the gate opens —
+// by then every other submission has acquired (and is waiting on) its lease.
+// ---------------------------------------------------------------------------
+
+/// Holds every staging block of the GPU arenas until Open().
+class GpuStagingGate {
+ public:
+  explicit GpuStagingGate(core::System* system) {
+    const sim::Topology& topo = system->topology();
+    for (int g = 0; g < topo.num_gpus(); ++g) {
+      const sim::MemNodeId node = topo.LocalMemNode(sim::DeviceId::Gpu(g));
+      system->blocks().ReclaimNode(node, /*steal_prefetch=*/true);
+      memory::BlockManager& arena = system->blocks().manager(node);
+      while (memory::Block* block = arena.Acquire()) {
+        held_.emplace_back(&arena, block);
+      }
+    }
+  }
+  ~GpuStagingGate() { Open(); }
+
+  void Open() {
+    for (auto& [arena, block] : held_) arena->Release(block);
+    held_.clear();
+  }
+
+ private:
+  std::vector<std::pair<memory::BlockManager*, memory::Block*>> held_;
+};
+
+core::SubmitOptions Pinned(plan::ExecPolicy policy) {
+  core::SubmitOptions opts;
+  opts.policy = test::TestEnv::Tune(std::move(policy));
+  return opts;
+}
+
+/// Submits a gated GPU producer, waits until it holds the lease, then submits
+/// `attachers` more copies of `spec` under `attacher_opts` and waits until each
+/// is blocked on the lease. Returns the handles, producer first.
+std::vector<core::QueryHandle> SubmitBehindGatedProducer(
+    core::QueryScheduler* scheduler, const ResultCache& cache,
+    const plan::QuerySpec& spec, int attachers,
+    const core::SubmitOptions& attacher_opts) {
+  std::vector<core::QueryHandle> handles;
+  handles.push_back(
+      scheduler->Submit(spec, Pinned(plan::ExecPolicy::GpuOnly())));
+  AwaitMisses(cache, 1);
+  for (int i = 0; i < attachers; ++i) {
+    handles.push_back(scheduler->Submit(spec, attacher_opts));
+  }
+  AwaitMisses(cache, 1 + static_cast<uint64_t>(attachers));
+  return handles;
+}
+
+TEST(ReuseTest, SingleFlightIdenticalQueriesExecuteOnce) {
+  test::TestEnv env(8'000, 2, 2, CacheOnly());
+  const plan::QuerySpec spec = env.ssb->Query(2, 1);
+  const auto reference = env.Reference(spec);
+  const ResultCache& cache = *env.system->result_cache();
+  core::QueryScheduler scheduler(env.system.get(), {.max_concurrent = 4});
+
+  GpuStagingGate gate(env.system.get());
+  const std::vector<core::QueryHandle> handles =
+      SubmitBehindGatedProducer(&scheduler, cache, spec, 3, {});
+  gate.Open();
+
+  const core::QueryResult producer = scheduler.Wait(handles[0]);
+  ASSERT_TRUE(producer.status.ok()) << producer.status.ToString();
+  EXPECT_EQ(producer.rows, reference);
+  EXPECT_FALSE(producer.cache_hit);
+  EXPECT_FALSE(producer.result_attached);
+  const sim::VTime ready_at = producer.session_epoch + producer.modeled_seconds;
+  uint64_t row_bytes = 0;
+  for (const auto& row : reference) row_bytes += row.size() * sizeof(int64_t);
+  const sim::CostModel& cm = env.system->cost_model();
+
+  for (size_t i = 1; i < handles.size(); ++i) {
+    const core::QueryResult r = scheduler.Wait(handles[i]);
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.rows, reference);
+    EXPECT_TRUE(r.result_attached);
+    EXPECT_FALSE(r.cache_hit);
+    // One arrival: every session starts at the producer's epoch, so each
+    // attacher waits out the producer's whole execution.
+    EXPECT_EQ(r.session_epoch, producer.session_epoch);
+    EXPECT_EQ(r.modeled_seconds,
+              std::max(0.0, ready_at - r.session_epoch) +
+                  cm.result_cache_lookup_latency +
+                  static_cast<double>(row_bytes) / cm.cpu_core_bw);
+  }
+  const ResultCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.attaches, 3u);
+  EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_EQ(stats.misses, 4u);
+  EXPECT_EQ(stats.hits, 0u);
+}
+
+TEST(ReuseTest, CancelledProducerFailsEveryAttacherOver) {
+  test::TestEnv env(8'000, 2, 2, CacheOnly());
+  const plan::QuerySpec spec = env.ssb->Query(2, 1);
+  const auto reference = env.Reference(spec);
+  const ResultCache& cache = *env.system->result_cache();
+  core::QueryScheduler scheduler(env.system.get(), {.max_concurrent = 4});
+
+  GpuStagingGate gate(env.system.get());
+  const std::vector<core::QueryHandle> handles = SubmitBehindGatedProducer(
+      &scheduler, cache, spec, 3, Pinned(plan::ExecPolicy::CpuOnly()));
+  ASSERT_TRUE(scheduler.Cancel(handles[0]).ok());
+  gate.Open();
+
+  const core::QueryResult producer = scheduler.Wait(handles[0]);
+  EXPECT_EQ(producer.status.code(), StatusCode::kCancelled);
+  for (size_t i = 1; i < handles.size(); ++i) {
+    const core::QueryResult r = scheduler.Wait(handles[i]);
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.rows, reference);
+    EXPECT_FALSE(r.result_attached) << "served a cancelled producer's result";
+    EXPECT_FALSE(r.cache_hit);
+  }
+  EXPECT_EQ(cache.stats().attaches, 0u);
+}
+
+TEST(ReuseTest, MutationUnderProducerFailsAttachersOver) {
+  test::TestEnv env(8'000, 2, 2, CacheOnly());
+  const plan::QuerySpec spec = env.ssb->Query(2, 1);
+  const auto reference = env.Reference(spec);
+  const ResultCache& cache = *env.system->result_cache();
+  core::QueryScheduler scheduler(env.system.get(), {.max_concurrent = 4});
+
+  GpuStagingGate gate(env.system.get());
+  const std::vector<core::QueryHandle> handles =
+      SubmitBehindGatedProducer(&scheduler, cache, spec, 3, {});
+  // The producer's rows were computed under the old key; publishing them would
+  // answer the attachers from a table version that no longer exists.
+  env.system->catalog().at("lineorder").NoteMutation();
+  gate.Open();
+
+  for (const core::QueryHandle& h : handles) {
+    const core::QueryResult r = scheduler.Wait(h);
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.rows, reference);
+    EXPECT_FALSE(r.result_attached) << "served pre-mutation rows";
+    EXPECT_FALSE(r.cache_hit);
+  }
+  EXPECT_EQ(cache.stats().attaches, 0u);
+  EXPECT_EQ(cache.stats().insertions, 0u) << "a pre-mutation key was cached";
+}
+
+TEST(ReuseTest, OversizeProducerStillAnswersAttachers) {
+  core::ReuseOptions reuse = CacheOnly();
+  reuse.result_cache_bytes = 1;  // no result fits
+  test::TestEnv env(8'000, 2, 2, reuse);
+  const plan::QuerySpec spec = env.ssb->Query(2, 1);
+  const auto reference = env.Reference(spec);
+  const ResultCache& cache = *env.system->result_cache();
+  core::QueryScheduler scheduler(env.system.get(), {.max_concurrent = 4});
+
+  GpuStagingGate gate(env.system.get());
+  const std::vector<core::QueryHandle> handles =
+      SubmitBehindGatedProducer(&scheduler, cache, spec, 3, {});
+  gate.Open();
+
+  for (size_t i = 0; i < handles.size(); ++i) {
+    const core::QueryResult r = scheduler.Wait(handles[i]);
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.rows, reference);
+    EXPECT_EQ(r.result_attached, i > 0);
+  }
+  EXPECT_EQ(cache.stats().attaches, 3u);
+  EXPECT_EQ(cache.stats().insertions, 0u);
+  EXPECT_EQ(cache.entries(), 0);
+}
+
 TEST(ReuseTest, DefaultOffIsInert) {
   // The PR-7 pin: with both knobs off (the default), no result cache exists,
   // no shared entry is ever created, and results carry no reuse accounting.
@@ -405,6 +659,7 @@ TEST(ReuseTest, DefaultOffIsInert) {
     core::QueryResult r = scheduler.Wait(scheduler.Submit(spec));
     ASSERT_TRUE(r.status.ok()) << r.status.ToString();
     EXPECT_FALSE(r.cache_hit);
+    EXPECT_FALSE(r.result_attached);
     EXPECT_EQ(r.shared_builds, 0);
     EXPECT_EQ(r.shared_attaches, 0);
   }
@@ -419,35 +674,18 @@ TEST(ReuseTest, DefaultOffIsInert) {
 // ---------------------------------------------------------------------------
 
 TEST(ReuseChaosTest, FaultedSharedBuildsFailOverCleanly) {
-  core::System::Options opts;
-  opts.topology.num_sockets = 2;
-  opts.topology.cores_per_socket = 2;
-  opts.topology.num_gpus = 2;
-  opts.topology.gpu_sim_threads = 2;
-  opts.topology.host_capacity_per_socket = 4ull << 30;
-  opts.topology.gpu_capacity = 1ull << 30;
-  opts.blocks.block_bytes = 64 << 10;
-  opts.blocks.host_arena_blocks = 256;
-  opts.blocks.gpu_arena_blocks = 128;
-  opts.faults.enabled = true;
-  opts.faults.seed = 0xC0FFEE;
-  opts.faults.dma_fault_rate = 0.05;
-  opts.faults.kernel_fault_rate = 0.05;
-  opts.faults.staging_fault_rate = 0.01;
+  sim::FaultOptions faults;
+  faults.enabled = true;
+  faults.seed = 0xC0FFEE;
+  faults.dma_fault_rate = 0.05;
+  faults.kernel_fault_rate = 0.05;
+  faults.staging_fault_rate = 0.01;
   core::ReuseOptions reuse;
   reuse.shared_builds = true;
   reuse.result_cache = true;
-  opts.reuse = reuse;
-  core::System system(opts);
-
-  ssb::Ssb::Options ssb_opts;
-  ssb_opts.lineorder_rows = 6'000;
-  ssb_opts.scale = 0.002;
-  ssb::Ssb ssb(ssb_opts, &system.catalog());
-  for (const char* name : {"lineorder", "date", "customer", "supplier", "part"}) {
-    HETEX_CHECK_OK(
-        system.catalog().at(name).Place(system.HostNodes(), &system.memory()));
-  }
+  test::TestEnv env(6'000, 2, 2, reuse, faults);
+  core::System& system = *env.system;
+  ssb::Ssb& ssb = *env.ssb;
 
   const std::vector<plan::QuerySpec> pool = {ssb.Query(2, 1), ssb.Query(3, 1),
                                              ssb.Query(2, 1), ssb.Query(2, 1)};
@@ -475,6 +713,38 @@ TEST(ReuseChaosTest, FaultedSharedBuildsFailOverCleanly) {
       }
     }
   }
+}
+
+TEST(ReuseChaosTest, FaultedResultProducerFailsAttachersOver) {
+  // Every GPU kernel launch faults and nothing retries: the GPU-pinned
+  // producer fails, and its CPU-pinned attachers — identical queries, one
+  // key — must execute themselves instead of taking a failed result.
+  sim::FaultOptions faults;
+  faults.enabled = true;
+  faults.kernel_fault_rate = 1.0;
+  test::TestEnv env(8'000, 2, 2, CacheOnly(), faults);
+  const plan::QuerySpec spec = env.ssb->Query(2, 1);
+  const auto reference = env.Reference(spec);
+  const ResultCache& cache = *env.system->result_cache();
+  core::QueryScheduler scheduler(env.system.get(),
+                                 {.max_concurrent = 4, .max_retries = 0});
+
+  GpuStagingGate gate(env.system.get());
+  const std::vector<core::QueryHandle> handles = SubmitBehindGatedProducer(
+      &scheduler, cache, spec, 3, Pinned(plan::ExecPolicy::CpuOnly()));
+  gate.Open();
+
+  const core::QueryResult producer = scheduler.Wait(handles[0]);
+  EXPECT_EQ(producer.status.code(), StatusCode::kUnavailable)
+      << producer.status.ToString();
+  for (size_t i = 1; i < handles.size(); ++i) {
+    const core::QueryResult r = scheduler.Wait(handles[i]);
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.rows, reference);
+    EXPECT_FALSE(r.result_attached) << "served a failed producer's result";
+  }
+  EXPECT_EQ(cache.stats().attaches, 0u);
+  EXPECT_EQ(cache.stats().insertions, 1u);
 }
 
 }  // namespace

@@ -32,13 +32,16 @@ inline bool FaultsEnabled() {
 
 /// Small simulated server + tiny SSB database for fast tests.
 struct TestEnv {
-  /// `reuse` defaults to the env-resolved knobs (HETEX_SHARED_BUILDS /
-  /// HETEX_RESULT_CACHE_MB) so the chaos job can run the whole suite
-  /// reuse-enabled; tests pin explicit options where the mode matters.
+  /// `reuse` and `faults` default to the env-resolved knobs
+  /// (HETEX_SHARED_BUILDS / HETEX_RESULT_CACHE_MB, HETEX_FAULT_*) so the chaos
+  /// job can run the whole suite reuse-enabled and under injection; tests pin
+  /// explicit options where the mode matters.
   explicit TestEnv(uint64_t lineorder_rows = 40'000, int sockets = 2, int gpus = 2,
-                   core::ReuseOptions reuse = core::ReuseOptions::FromEnv()) {
+                   core::ReuseOptions reuse = core::ReuseOptions::FromEnv(),
+                   sim::FaultOptions faults = sim::FaultOptions::FromEnv()) {
     core::System::Options opts;
     opts.reuse = reuse;
+    opts.faults = faults;
     opts.topology.num_sockets = sockets;
     opts.topology.cores_per_socket = 2;
     opts.topology.num_gpus = gpus;
